@@ -625,7 +625,7 @@ fn main() {
         },
         "metrics": metrics,
     });
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, text + "\n").expect("write BENCH_engine.json");
+    // Read-modify-write: the `slo` and `service` sections belong to s3load.
+    s3_bench::report::merge_report_file(&out_path, report).expect("write BENCH_engine.json");
     eprintln!("s3bench: wrote {out_path}");
 }

@@ -406,16 +406,8 @@ fn classes_main(o: &Opts) {
             "classes": per_class,
         },
     });
-    let mut report: serde_json::Value = std::fs::read_to_string(&o.out)
-        .ok()
-        .and_then(|t| serde_json::from_str(&t).ok())
-        .unwrap_or_else(|| serde_json::json!({"schema": "s3bench-engine/v1"}));
-    report["service"] = service;
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Some(dir) = std::path::Path::new(&o.out).parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).expect("create report dir");
-    }
-    std::fs::write(&o.out, text + "\n").expect("write report");
+    s3_bench::report::merge_report_file(&o.out, serde_json::json!({ "service": service }))
+        .expect("write report");
     eprintln!("s3load: wrote service section into {}", o.out);
 }
 
@@ -605,15 +597,7 @@ fn main() {
         "completion_us": (summary_json(&cmp)),
         "windows": (serde_json::Value::Array(windows_json)),
     });
-    let mut report: serde_json::Value = std::fs::read_to_string(&o.out)
-        .ok()
-        .and_then(|t| serde_json::from_str(&t).ok())
-        .unwrap_or_else(|| serde_json::json!({"schema": "s3bench-engine/v1"}));
-    report["slo"] = slo;
-    let text = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Some(dir) = std::path::Path::new(&o.out).parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).expect("create report dir");
-    }
-    std::fs::write(&o.out, text + "\n").expect("write report");
+    s3_bench::report::merge_report_file(&o.out, serde_json::json!({ "slo": slo }))
+        .expect("write report");
     eprintln!("s3load: wrote slo section into {}", o.out);
 }

@@ -309,9 +309,62 @@ pub fn ablations_report(seed: u64) -> String {
     out
 }
 
+/// Merge `update` into the shared engine report held in `existing`:
+/// each top-level key of `update` replaces (or joins) the report's key of
+/// that name, and every other key — a section another writer owns —
+/// survives. A missing, unparsable or non-object report starts from an
+/// empty `s3bench-engine/v1` one.
+pub fn merge_report(existing: Option<&str>, update: serde_json::Value) -> serde_json::Value {
+    let mut report = existing
+        .and_then(|t| serde_json::from_str::<serde_json::Value>(t).ok())
+        .filter(|v| matches!(v, serde_json::Value::Object(_)))
+        .unwrap_or_else(|| serde_json::json!({"schema": "s3bench-engine/v1"}));
+    if let serde_json::Value::Object(entries) = update {
+        for (key, value) in entries {
+            report[key.as_str()] = value;
+        }
+    }
+    report
+}
+
+/// Read-modify-write the report file at `path` with [`merge_report`],
+/// creating its directory if needed. Writers that own different sections
+/// of one `BENCH_engine.json` use this so none drops another's keys.
+pub fn merge_report_file(path: &str, update: serde_json::Value) -> std::io::Result<()> {
+    let existing = std::fs::read_to_string(path).ok();
+    let report = merge_report(existing.as_deref(), update);
+    let text = serde_json::to_string_pretty(&report).expect("report serializes");
+    if let Some(dir) = std::path::Path::new(path).parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, text + "\n")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_report_keeps_foreign_sections() {
+        let existing = r#"{"schema": "s3bench-engine/v1", "current": {"old": 1}, "slo": {"p99": 7}, "service": {"rejected": 3}}"#;
+        let update = serde_json::json!({"schema": "s3bench-engine/v1", "current": {"new": 2}, "skew": {"shards": 4}});
+        let merged = merge_report(Some(existing), update);
+        assert_eq!(merged["slo"]["p99"].as_u64(), Some(7), "foreign slo section survives");
+        assert_eq!(merged["service"]["rejected"].as_u64(), Some(3), "foreign service section survives");
+        assert_eq!(merged["current"]["new"].as_u64(), Some(2), "owned key is replaced");
+        assert!(merged["current"].get("old").is_none(), "owned key is replaced, not merged");
+        assert_eq!(merged["skew"]["shards"].as_u64(), Some(4), "new key joins");
+        assert_eq!(merged["schema"].as_str(), Some("s3bench-engine/v1"));
+    }
+
+    #[test]
+    fn merge_report_starts_fresh_from_missing_or_garbage() {
+        for existing in [None, Some("not json"), Some("[1, 2]")] {
+            let merged = merge_report(existing, serde_json::json!({"slo": {"p99": 1}}));
+            assert_eq!(merged["schema"].as_str(), Some("s3bench-engine/v1"));
+            assert_eq!(merged["slo"]["p99"].as_u64(), Some(1));
+        }
+    }
     use crate::experiments::{run_examples, SchedulerResult};
 
     #[test]

@@ -55,7 +55,7 @@ fn key8(token: &[u8]) -> u64 {
 /// otherwise the full `fxhash`. Long-token equality is confirmed against
 /// the arena, so hash collisions cost a compare, never a wrong answer.
 #[inline]
-fn inline_key(token: &[u8]) -> u64 {
+pub(crate) fn inline_key(token: &[u8]) -> u64 {
     if token.len() <= 8 {
         key8(token)
     } else {
@@ -72,7 +72,7 @@ fn inline_key(token: &[u8]) -> u64 {
 /// `token` MUST be a subslice of `hay` — the offset is recovered from the
 /// borrow itself.
 #[inline]
-fn short_key_within(hay: &[u8], token: &[u8]) -> u64 {
+pub(crate) fn short_key_within(hay: &[u8], token: &[u8]) -> u64 {
     debug_assert!(token.len() <= 8);
     let start = token.as_ptr() as usize - hay.as_ptr() as usize;
     debug_assert!(start + token.len() <= hay.len(), "token must borrow from hay");
@@ -88,7 +88,7 @@ fn short_key_within(hay: &[u8], token: &[u8]) -> u64 {
 /// bits of a product alone are poorly mixed, and the table is indexed by
 /// low bits).
 #[inline]
-fn mix(key: u64, len: usize) -> u64 {
+pub(crate) fn mix(key: u64, len: usize) -> u64 {
     let h = (key ^ (len as u64).rotate_left(61)).wrapping_mul(SEED);
     h ^ (h >> 32)
 }

@@ -60,6 +60,7 @@ pub mod arena;
 pub mod exec;
 pub mod external;
 pub mod fault;
+pub mod map_kernel;
 pub(crate) mod partition;
 pub mod pool;
 pub mod retry;
@@ -79,7 +80,8 @@ pub use external::{
     run_merged_external_observed, ExternalConfig, SpillStats,
 };
 pub use fault::{ArmedFaults, EngineChaosConfig, EngineFault, FaultPlan, FtConfig};
-pub use pool::{BlockClaims, WorkProgress, WorkerPool};
+pub use map_kernel::TokenHistogram;
+pub use pool::{BlockClaims, NestedBroadcast, WorkProgress, WorkerPool};
 pub use retry::RetryPolicy;
 pub use s3_obs::Obs;
 pub use scan_server::{

@@ -22,6 +22,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use s3_obs::{Counter, Gauge, Obs};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +47,42 @@ struct PoolObs {
     tasks_panicked: Arc<Counter>,
 }
 
+/// Source of pool ids; 0 is reserved for threads that are no pool's
+/// worker.
+static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// Id of the pool this thread works for, or 0.
+    static WORKER_OF: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Panic payload raised by [`WorkerPool::broadcast`] when it is called
+/// from inside a task of the same pool. Such a call could deadlock: the
+/// inner broadcast waits for tasks that may only run on the worker the
+/// outer task occupies. Callers that catch the unwind can downcast the
+/// payload to this type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NestedBroadcast {
+    /// Id of the pool that was re-entered.
+    pub pool_id: u64,
+}
+
+impl std::fmt::Display for NestedBroadcast {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "WorkerPool::broadcast called from inside a task of the same pool (pool {}); \
+             the inner wait could starve the outer task's worker and deadlock",
+            self.pool_id
+        )
+    }
+}
+
+impl std::error::Error for NestedBroadcast {}
+
 struct PoolShared {
+    /// Unique per pool; worker threads record it in [`WORKER_OF`].
+    id: u64,
     queue: Mutex<QueueState>,
     /// Workers park here waiting for tasks.
     work_cv: Condvar,
@@ -97,6 +133,7 @@ impl WorkerPool {
             tasks_panicked: core.metrics.counter(&format!("pool.{name}.tasks_panicked")),
         });
         let shared = Arc::new(PoolShared {
+            id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             queue: Mutex::new(QueueState {
                 tasks: VecDeque::new(),
                 shutdown: false,
@@ -166,13 +203,21 @@ impl WorkerPool {
     /// `fan_out == 0` returns an empty vector without touching the pool;
     /// `fan_out == 1` runs inline on the calling thread (no handoff).
     /// If any task panics, the panic is re-raised here after all tasks
-    /// finish. Must not be called from inside a pool task of the same pool
-    /// (the inner wait could starve the outer task's worker).
+    /// finish.
+    ///
+    /// # Panics
+    /// Panics with a [`NestedBroadcast`] payload when called from inside a
+    /// task of this same pool (the inner wait could starve the outer
+    /// task's worker). Broadcasting into a *different* pool from a task
+    /// is fine.
     pub fn broadcast<'env, R, F>(&self, fan_out: usize, f: &F) -> Vec<R>
     where
         R: Send + 'env,
         F: Fn(usize) -> R + Sync + 'env,
     {
+        if WORKER_OF.with(Cell::get) == self.shared.id {
+            std::panic::panic_any(NestedBroadcast { pool_id: self.shared.id });
+        }
         if fan_out == 0 {
             return Vec::new();
         }
@@ -257,6 +302,7 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: Arc<PoolShared>) {
+    WORKER_OF.with(|w| w.set(shared.id));
     loop {
         let task = {
             let mut q = shared.queue.lock();
@@ -570,6 +616,34 @@ mod tests {
         assert!(r.is_err(), "panic must surface on the caller");
         // The pool survives and keeps serving work.
         assert_eq!(pool.broadcast(3, &|i| i + 1), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn nested_broadcast_on_the_same_pool_panics_promptly() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let p = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            let r = catch_unwind(AssertUnwindSafe(|| p.broadcast(2, &|_| p.broadcast(2, &|i| i))));
+            let _ = tx.send(r.map_err(|e| e.downcast_ref::<NestedBroadcast>().copied()));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("nested broadcast must panic, not hang");
+        let err = outcome.expect_err("nested broadcast must panic");
+        let payload = err.expect("payload is a NestedBroadcast");
+        assert_eq!(payload.pool_id, pool.shared.id);
+        assert!(payload.to_string().contains("same pool"));
+        // The pool survives the rejected call.
+        assert_eq!(pool.broadcast(2, &|i| i + 1), vec![1, 2]);
+    }
+
+    #[test]
+    fn broadcast_into_another_pool_from_a_task_works() {
+        let outer = WorkerPool::new(2);
+        let inner = WorkerPool::new(2);
+        let got = outer.broadcast(2, &|i| inner.broadcast(3, &|j| i * 10 + j));
+        assert_eq!(got, vec![vec![0, 1, 2], vec![10, 11, 12]]);
     }
 
     #[test]

@@ -72,9 +72,9 @@
 //! server.shutdown();
 //! ```
 
-use crate::arena::TokenMap;
 use crate::exec::{JobOutput, ScanPath, ScanStats};
 use crate::fault::{ArmedFaults, FaultPlan, FtConfig};
+use crate::map_kernel::{scan_block, BlockTokens, JobAcc, TokenHistogram};
 use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
 use crate::store::BlockStore;
@@ -194,175 +194,25 @@ impl ServerObs {
     }
 }
 
-/// Map-side accumulator for one job on one worker: fold jobs stream into
-/// one value per key, buffering jobs keep the runs for a later combine,
-/// and token-identity fold jobs ([`MapReduceJob::map_emits_token`]) fold
-/// under the raw token bytes in a [`TokenMap`] arena — no key is
-/// materialized until the reduce shards call `token_key` once per distinct
-/// token.
-enum JobAcc<J: MapReduceJob> {
-    Fold(FxHashMap<J::K, J::V>),
-    Buf(FxHashMap<J::K, Vec<J::V>>),
-    Tok(TokenMap<J::V>),
-}
-
-impl<J: MapReduceJob> JobAcc<J> {
-    /// The accumulator kind is a pure function of the job's declared flags
-    /// and the server's scan path, so every worker (and the speculative
-    /// path's block-local accumulators) picks the same variant for a job.
-    fn for_job(job: &J, scan_path: ScanPath) -> Self {
-        if job.combine_is_fold() {
-            if scan_path == ScanPath::Kernel && job.map_emits_token() {
-                JobAcc::Tok(TokenMap::new())
-            } else {
-                JobAcc::Fold(FxHashMap::default())
-            }
-        } else {
-            JobAcc::Buf(FxHashMap::default())
-        }
-    }
-
-    fn push(&mut self, job: &J, k: J::K, v: J::V) {
-        match self {
-            JobAcc::Fold(map) => match map.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    job.combine_fold(e.get_mut(), v);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            },
-            JobAcc::Buf(map) => map.entry(k).or_default().push(v),
-            JobAcc::Tok(_) => unreachable!("token-identity jobs fold via push_token"),
-        }
-    }
-
-    /// Fold one token occurrence into the arena (token-identity jobs only).
-    /// `block` is the buffer the token borrows from (see
-    /// [`TokenMap::upsert_within`]).
-    fn push_token(&mut self, job: &J, block: &[u8], token: &[u8], v: J::V) {
-        match self {
-            JobAcc::Tok(map) => {
-                map.upsert_within(block, token, v, |acc, next| job.combine_fold(acc, next))
-            }
-            _ => unreachable!("push_token requires a token-identity accumulator"),
-        }
-    }
-
-    /// Merge a committed block-local accumulator into this (persistent)
-    /// one — the speculative scan path's idempotent-commit step.
-    fn merge(&mut self, job: &J, other: JobAcc<J>) {
-        match (self, other) {
-            (JobAcc::Fold(m), JobAcc::Fold(o)) => {
-                for (k, v) in o {
-                    match m.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            job.combine_fold(e.get_mut(), v);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(v);
-                        }
-                    }
-                }
-            }
-            (JobAcc::Buf(m), JobAcc::Buf(o)) => {
-                for (k, mut vs) in o {
-                    m.entry(k).or_default().append(&mut vs);
-                }
-            }
-            (JobAcc::Tok(m), JobAcc::Tok(o)) => {
-                m.merge_from(o, |acc, next| job.combine_fold(acc, next));
-            }
-            _ => unreachable!("accumulator kinds are fixed per job"),
-        }
-    }
-}
-
-/// Run one job's map over one block into its accumulator.
-///
-/// Kernel path: byte slices through the SWAR iterators. `tokens`/`tokenized`
-/// is the block's shared tokenization cache — filled lazily by the first
-/// per-token job, reused by every other one (the cache must be cleared by
-/// the caller at each new block). Token-identity jobs fold straight into the
-/// arena accumulator.
-///
-/// Legacy path (the byte-equality oracle): lossy `&str` conversion, then
-/// `str::lines` / `split_whitespace` into the `&str` entry points, exactly
-/// as before the kernel existed.
-///
-/// User map code may panic; callers wrap this in their per-(job, block)
-/// `catch_unwind`.
-fn scan_block_for_job<'b, J: MapReduceJob>(
-    job: &J,
-    scan_path: ScanPath,
-    block: &'b [u8],
-    tokens: &mut Vec<&'b [u8]>,
-    tokenized: &mut bool,
-    emitted: &mut u64,
-    acc: &mut JobAcc<J>,
-) {
-    match scan_path {
-        ScanPath::Kernel => {
-            if job.map_is_per_token() {
-                if !*tokenized {
-                    // One tokenization shared by every token job. Whole-block
-                    // tokenization is exact: `\n`/`\r` are whitespace.
-                    memchr::for_each_token(block, |t| tokens.push(t));
-                    *tokenized = true;
-                }
-                if matches!(acc, JobAcc::Tok(_)) {
-                    for tk in tokens.iter() {
-                        if let Some(v) = job.token_value(tk) {
-                            *emitted += 1;
-                            acc.push_token(job, block, tk, v);
-                        }
-                    }
-                } else {
-                    for tk in tokens.iter() {
-                        job.map_token_bytes(tk, &mut |k, v| {
-                            *emitted += 1;
-                            acc.push(job, k, v);
-                        });
-                    }
-                }
-            } else {
-                for line in memchr::lines(block) {
-                    job.map_bytes(line, &mut |k, v| {
-                        *emitted += 1;
-                        acc.push(job, k, v);
-                    });
-                }
-            }
-        }
-        ScanPath::Legacy => {
-            let text = String::from_utf8_lossy(block);
-            if job.map_is_per_token() {
-                for tk in text.split_whitespace() {
-                    job.map_token(tk, &mut |k, v| {
-                        *emitted += 1;
-                        acc.push(job, k, v);
-                    });
-                }
-            } else {
-                for line in text.lines() {
-                    job.map(line, &mut |k, v| {
-                        *emitted += 1;
-                        acc.push(job, k, v);
-                    });
-                }
-            }
-        }
-    }
-}
-
 /// One worker's accumulated state for one job over the revolution so far.
 struct JobPartial<J: MapReduceJob> {
     emitted: u64,
     acc: JobAcc<J>,
 }
 
-/// Per-worker slot: the partials of every job this worker has scanned for.
-type Slot<J> = Vec<(u64, JobPartial<J>)>;
+/// Per-worker slot: the partials of every job this worker has scanned
+/// for, and the worker's block-histogram scratch, reused across blocks
+/// and segments.
+struct WorkerSlot<J: MapReduceJob> {
+    partials: Mutex<Vec<(u64, JobPartial<J>)>>,
+    hist: Mutex<TokenHistogram>,
+}
+
+impl<J: MapReduceJob> WorkerSlot<J> {
+    fn new() -> Self {
+        WorkerSlot { partials: Mutex::new(Vec::new()), hist: Mutex::new(TokenHistogram::new()) }
+    }
+}
 
 /// Sticky record of a job's own code having panicked. Shared between the
 /// scan workers (who record), the coordinator (who quarantines), and the
@@ -1143,8 +993,8 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
     // across every segment of a job's revolution, so there is no
     // merge-into-coordinator step at segment end. Arc'd because the
     // speculative scan path hands detached (`'static`) tasks to the pool.
-    let slots: Arc<Vec<Mutex<Slot<J>>>> =
-        Arc::new((0..num_threads).map(|_| Mutex::new(Vec::new())).collect());
+    let slots: Arc<Vec<WorkerSlot<J>>> =
+        Arc::new((0..num_threads).map(|_| WorkerSlot::new()).collect());
     // Exclusion windows: `Some(iter)` means the worker sits out until that
     // global iteration (speculative mode only).
     let mut excluded_until: Vec<Option<u64>> = vec![None; num_threads];
@@ -1235,7 +1085,7 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
                 if active[i].expires_at.is_some_and(|t| t <= now) {
                     let expired = active.swap_remove(i);
                     for slot in slots.iter() {
-                        slot.lock().retain(|(id, _)| *id != expired.id);
+                        slot.partials.lock().retain(|(id, _)| *id != expired.id);
                     }
                     if let Some(o) = &shared.obs {
                         o.jobs_expired.inc();
@@ -1383,7 +1233,7 @@ fn coordinator_loop<J: MapReduceJob + 'static>(shared: Arc<ServerShared<J>>, num
             if active[i].failure.failed() {
                 let failed = active.swap_remove(i);
                 for slot in slots.iter() {
-                    slot.lock().retain(|(id, _)| *id != failed.id);
+                    slot.partials.lock().retain(|(id, _)| *id != failed.id);
                 }
                 if let Some(o) = &shared.obs {
                     o.jobs_quarantined.inc();
@@ -1488,8 +1338,8 @@ struct SegClaims {
 /// Scan one segment once, running every active job's map over each block
 /// on the persistent scan pool (the cooperative path: a shared
 /// [`WorkProgress`] claim cursor, no retry). Jobs declaring
-/// [`map_is_per_token`](MapReduceJob::map_is_per_token) share one
-/// tokenization of each block. Each job's work on each block runs under
+/// [`map_is_per_token`](MapReduceJob::map_is_per_token) share one token
+/// histogram of each block, built in the worker's scratch. Each job's work on each block runs under
 /// `catch_unwind`, so a panicking map marks **that job** failed and the
 /// scan continues for the rest. `limits[pos]` is the first block index
 /// job `pos` must *not* see (its revolution ends inside this segment).
@@ -1497,7 +1347,7 @@ struct SegClaims {
 fn scan_segment<J: MapReduceJob + 'static>(
     shared: &ServerShared<J>,
     active: &[ActiveJob<J>],
-    slots: &[Mutex<Slot<J>>],
+    slots: &[WorkerSlot<J>],
     start: usize,
     end: usize,
     limits: &[usize],
@@ -1525,7 +1375,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
         } else {
             BlockClaims::shared(&progress)
         };
-        let mut slot = slots[wi].lock();
+        let mut slot = slots[wi].partials.lock();
         // Index of each active job's partial in this worker's slot,
         // creating partials for jobs this worker has not seen yet.
         let idxs: Vec<usize> = active
@@ -1545,7 +1395,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                 }
             })
             .collect();
-        let mut tokens: Vec<&[u8]> = Vec::new();
+        let mut hist = slots[wi].hist.lock();
         while let Some(li) = claims.claim() {
             let idx = start + li;
             if let Some(f) = faults {
@@ -1554,9 +1404,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                     std::thread::sleep(Duration::from_micros(d));
                 }
             }
-            let block = store.block(idx);
-            tokens.clear();
-            let mut tokenized = false;
+            let mut tokens = BlockTokens::new(&mut hist, store.block(idx));
             for (pos, a) in active.iter().enumerate() {
                 // Past this job's per-segment limit: the block belongs to
                 // the segment but not to this job's revolution.
@@ -1578,15 +1426,7 @@ fn scan_segment<J: MapReduceJob + 'static>(
                             panic!("injected map panic (job {})", a.id);
                         }
                     }
-                    scan_block_for_job(
-                        job,
-                        shared.scan_path,
-                        block,
-                        &mut tokens,
-                        &mut tokenized,
-                        emitted,
-                        acc,
-                    );
+                    scan_block(job, shared.scan_path, &mut tokens, emitted, acc);
                 }));
                 if let Err(p) = result {
                     a.failure.record(p);
@@ -1648,7 +1488,7 @@ struct SegJob<J: MapReduceJob> {
 /// Everything a resilient segment's detached worker tasks share.
 struct SegmentRun<J: MapReduceJob> {
     shared: Arc<ServerShared<J>>,
-    slots: Arc<Vec<Mutex<Slot<J>>>>,
+    slots: Arc<Vec<WorkerSlot<J>>>,
     jobs: Vec<SegJob<J>>,
     /// Packed (claim cursor, completed count): fresh claims come off this
     /// word with one `fetch_add` each, and the worker whose commit
@@ -1761,7 +1601,7 @@ impl<J: MapReduceJob> SegmentRun<J> {
 fn scan_segment_resilient<J: MapReduceJob + 'static>(
     shared: &Arc<ServerShared<J>>,
     active: &[ActiveJob<J>],
-    slots: &Arc<Vec<Mutex<Slot<J>>>>,
+    slots: &Arc<Vec<WorkerSlot<J>>>,
     start: usize,
     end: usize,
     limits: &[usize],
@@ -1921,7 +1761,7 @@ fn execute_block<J: MapReduceJob + 'static>(
         }
     }
     let t_start = run.now_us();
-    let locals = process_block(run, run.start + ti);
+    let locals = process_block(run, wi, run.start + ti);
     // An armed drop only fires on a *fresh claim* — "the first block the
     // worker claims" means off the cursor. A re-execution consuming the
     // one-shot would neutralize it (its result is racing an intact owner
@@ -2002,11 +1842,15 @@ fn execute_block<J: MapReduceJob + 'static>(
 /// failed here).
 fn process_block<J: MapReduceJob + 'static>(
     run: &SegmentRun<J>,
+    wi: usize,
     block_idx: usize,
 ) -> Vec<Option<JobPartial<J>>> {
-    let block = run.shared.store.block(block_idx);
-    let mut tokens: Vec<&[u8]> = Vec::new();
-    let mut tokenized = false;
+    // The worker's histogram scratch, unless a straggling earlier task of
+    // the same virtual worker still holds it: then a one-off table.
+    let mut own = run.slots[wi].hist.try_lock();
+    let mut spare = TokenHistogram::new();
+    let hist = own.as_deref_mut().unwrap_or(&mut spare);
+    let mut tokens = BlockTokens::new(hist, run.shared.store.block(block_idx));
     let mut out = Vec::with_capacity(run.jobs.len());
     for sj in &run.jobs {
         // Past this job's per-segment limit: the block belongs to the
@@ -2027,12 +1871,10 @@ fn process_block<J: MapReduceJob + 'static>(
         let result = {
             let partial = &mut partial;
             catch_unwind(AssertUnwindSafe(|| {
-                scan_block_for_job(
+                scan_block(
                     job,
                     run.shared.scan_path,
-                    block,
                     &mut tokens,
-                    &mut tokenized,
                     &mut partial.emitted,
                     &mut partial.acc,
                 );
@@ -2056,7 +1898,7 @@ fn merge_locals<J: MapReduceJob + 'static>(
     wi: usize,
     locals: Vec<Option<JobPartial<J>>>,
 ) {
-    let mut slot = run.slots[wi].lock();
+    let mut slot = run.slots[wi].partials.lock();
     for (sj, local) in run.jobs.iter().zip(locals) {
         let Some(local) = local else { continue };
         if sj.failure.failed() {
@@ -2121,7 +1963,7 @@ struct FinishState<J: MapReduceJob> {
 /// key hash. The coordinator returns to scanning immediately; the last
 /// shard task to finish publishes the result and wakes the handle.
 fn finish_job<J: MapReduceJob + 'static>(
-    slots: &[Mutex<Slot<J>>],
+    slots: &[WorkerSlot<J>],
     reduce_pool: &WorkerPool,
     job: ActiveJob<J>,
     shared: &Arc<ServerShared<J>>,
@@ -2131,7 +1973,7 @@ fn finish_job<J: MapReduceJob + 'static>(
     let mut distinct_fold_keys = 0u64;
     let mut folded = false;
     for slot in slots {
-        let mut slot = slot.lock();
+        let mut slot = slot.partials.lock();
         if let Some(p) = slot.iter().position(|(id, _)| *id == job.id) {
             let (_, partial) = slot.swap_remove(p);
             map_output_records += partial.emitted;

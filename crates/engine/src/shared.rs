@@ -8,16 +8,18 @@
 //!
 //! Beyond sharing the *read*, jobs that declare
 //! [`map_is_per_token`](crate::MapReduceJob::map_is_per_token) also share
-//! the *parse*: each line is tokenized once and every such job's
-//! [`map_token`](crate::MapReduceJob::map_token) runs over the shared
-//! tokens — removing the dominant per-job cost once I/O is shared.
+//! the *parse*: each block is tokenized once into a
+//! [`TokenHistogram`] of distinct tokens and their counts, and every such
+//! job's per-token map runs once per distinct token
+//! ([`crate::map_kernel`]) — removing the dominant per-job cost once I/O
+//! is shared.
 //!
 //! The correctness contract — outputs identical to running each job alone —
 //! is what makes shared scanning a pure optimization; the test suite and
 //! `tests/` integration tests enforce it record-for-record.
 
-use crate::arena::TokenMap;
 use crate::exec::{partition_of, ExecConfig, JobOutput, ScanPath, ScanStats};
+use crate::map_kernel::{scan_block, BlockTokens, JobAcc, TokenHistogram};
 use crate::partition::{key_hash, KeySketch, PartitionPlan};
 use crate::pool::WorkerPool;
 use crate::store::BlockStore;
@@ -34,17 +36,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 enum Gathered<V> {
     One(V),
     Many(Vec<V>),
-}
-
-fn fold_into<J: MapReduceJob>(job: &J, acc: &mut FxHashMap<J::K, J::V>, k: J::K, v: J::V) {
-    match acc.entry(k) {
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            job.combine_fold(e.get_mut(), v);
-        }
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(v);
-        }
-    }
 }
 
 /// Run every job in `jobs` over one shared scan of `store`.
@@ -137,17 +128,6 @@ fn run_merged_path<J: MapReduceJob>(
     let num_threads = pool.num_threads();
 
     let fold_flags: Vec<bool> = jobs.iter().map(|j| j.combine_is_fold()).collect();
-    // Jobs that share the tokenization pass vs. jobs that see whole lines.
-    let token_jobs: Vec<usize> = (0..num_jobs).filter(|&ji| jobs[ji].map_is_per_token()).collect();
-    let line_jobs: Vec<usize> = (0..num_jobs).filter(|&ji| !jobs[ji].map_is_per_token()).collect();
-    // Token-identity fast path (kernel only): fold under raw token bytes in
-    // a per-worker arena, building each distinct key once at flush.
-    let fast_flags: Vec<bool> = (0..num_jobs)
-        .map(|ji| {
-            scan_path == ScanPath::Kernel && fold_flags[ji] && jobs[ji].map_emits_token()
-        })
-        .collect();
-    let fast_flags = &fast_flags;
 
     // ---- shared map phase: tag tuples with their job index ----
     let map_t0 = core.map(|c| c.tracer.now_us());
@@ -163,13 +143,12 @@ fn run_merged_path<J: MapReduceJob>(
         let mut sketch = KeySketch::new();
         let mut emitted = vec![0u64; num_jobs];
         let mut bytes = 0u64;
-        // Fold jobs stream into one accumulator per key for the worker's
-        // whole run; buffering jobs group per block and combine at block end.
-        let mut fold_accs: Vec<FxHashMap<J::K, J::V>> =
-            (0..num_jobs).map(|_| FxHashMap::default()).collect();
-        let mut bufs: Vec<FxHashMap<J::K, Vec<J::V>>> =
-            (0..num_jobs).map(|_| FxHashMap::default()).collect();
-        let mut tok_maps: Vec<TokenMap<J::V>> = (0..num_jobs).map(|_| TokenMap::new()).collect();
+        // Fold and token-identity jobs stream into one accumulator per key
+        // for the worker's whole run; buffering jobs group per block and
+        // combine at block end.
+        let mut accs: Vec<JobAcc<J>> =
+            jobs.iter().map(|j| JobAcc::for_job(*j, scan_path)).collect();
+        let mut hist = TokenHistogram::new();
         loop {
             let idx = next_block.fetch_add(1, Ordering::Relaxed);
             if idx >= num_blocks {
@@ -177,145 +156,35 @@ fn run_merged_path<J: MapReduceJob>(
             }
             let block = store.block(idx);
             bytes += block.len() as u64;
-            match scan_path {
-                ScanPath::Kernel => {
-                    // One pass over the records; every job maps each one.
-                    // Token jobs share a single tokenization of the whole
-                    // block (exact: `\n`/`\r` are whitespace, so block
-                    // tokens == every line's tokens concatenated).
-                    if !token_jobs.is_empty() {
-                        memchr::for_each_token(block, |token| {
-                            for &ji in &token_jobs {
-                                let job = jobs[ji];
-                                let cnt = &mut emitted[ji];
-                                if fast_flags[ji] {
-                                    if let Some(v) = job.token_value(token) {
-                                        *cnt += 1;
-                                        tok_maps[ji].upsert_within(block, token, v, |acc, next| {
-                                            job.combine_fold(acc, next)
-                                        });
-                                    }
-                                } else if fold_flags[ji] {
-                                    let acc = &mut fold_accs[ji];
-                                    job.map_token_bytes(token, &mut |k, v| {
-                                        *cnt += 1;
-                                        fold_into(job, acc, k, v);
-                                    });
-                                } else {
-                                    let buf = &mut bufs[ji];
-                                    job.map_token_bytes(token, &mut |k, v| {
-                                        *cnt += 1;
-                                        buf.entry(k).or_default().push(v);
-                                    });
-                                }
-                            }
-                        });
-                    }
-                    if !line_jobs.is_empty() {
-                        for line in memchr::lines(block) {
-                            for &ji in &line_jobs {
-                                let job = jobs[ji];
-                                let cnt = &mut emitted[ji];
-                                if fold_flags[ji] {
-                                    let acc = &mut fold_accs[ji];
-                                    job.map_bytes(line, &mut |k, v| {
-                                        *cnt += 1;
-                                        fold_into(job, acc, k, v);
-                                    });
-                                } else {
-                                    let buf = &mut bufs[ji];
-                                    job.map_bytes(line, &mut |k, v| {
-                                        *cnt += 1;
-                                        buf.entry(k).or_default().push(v);
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                ScanPath::Legacy => {
-                    // Pre-kernel behavior, kept as the oracle: `&str` lines,
-                    // per-line shared tokenization.
-                    let text = String::from_utf8_lossy(block);
-                    for line in text.lines() {
-                        if !token_jobs.is_empty() {
-                            for token in line.split_whitespace() {
-                                for &ji in &token_jobs {
-                                    let job = jobs[ji];
-                                    let cnt = &mut emitted[ji];
-                                    if fold_flags[ji] {
-                                        let acc = &mut fold_accs[ji];
-                                        job.map_token(token, &mut |k, v| {
-                                            *cnt += 1;
-                                            fold_into(job, acc, k, v);
-                                        });
-                                    } else {
-                                        let buf = &mut bufs[ji];
-                                        job.map_token(token, &mut |k, v| {
-                                            *cnt += 1;
-                                            buf.entry(k).or_default().push(v);
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        for &ji in &line_jobs {
-                            let job = jobs[ji];
-                            let cnt = &mut emitted[ji];
-                            if fold_flags[ji] {
-                                let acc = &mut fold_accs[ji];
-                                job.map(line, &mut |k, v| {
-                                    *cnt += 1;
-                                    fold_into(job, acc, k, v);
-                                });
-                            } else {
-                                let buf = &mut bufs[ji];
-                                job.map(line, &mut |k, v| {
-                                    *cnt += 1;
-                                    buf.entry(k).or_default().push(v);
-                                });
-                            }
-                        }
-                    }
-                }
+            // One pass over the records; per-token jobs share one token
+            // histogram of the block.
+            let mut tokens = BlockTokens::new(&mut hist, block);
+            for (ji, job) in jobs.iter().enumerate() {
+                scan_block(*job, scan_path, &mut tokens, &mut emitted[ji], &mut accs[ji]);
             }
             // Flush buffering jobs through their combiner at block end.
-            for (ji, buf) in bufs.iter_mut().enumerate() {
+            for (ji, acc) in accs.iter_mut().enumerate() {
+                let JobAcc::Buf(buf) = acc else { continue };
                 for (k, vs) in buf.drain() {
                     let folded = jobs[ji].combine(&k, vs);
-                    if weighted {
+                    let p = if weighted {
                         sketch.observe(key_hash(&k), folded.len() as u64);
-                        for v in folded {
-                            partitions[0].push((ji, k.clone(), v));
-                        }
+                        0
                     } else {
-                        let p = partition_of(&k, num_reducers);
-                        for v in folded {
-                            partitions[p].push((ji, k.clone(), v));
-                        }
+                        partition_of(&k, num_reducers)
+                    };
+                    for v in folded {
+                        partitions[p].push((ji, k.clone(), v));
                     }
                 }
             }
         }
-        // Flush fold accumulators: one record per key for the whole worker.
-        for (ji, acc) in fold_accs.into_iter().enumerate() {
-            for (k, v) in acc {
-                let p = if weighted {
-                    sketch.observe(key_hash(&k), 1);
-                    0
-                } else {
-                    partition_of(&k, num_reducers)
-                };
-                partitions[p].push((ji, k, v));
-            }
-        }
-        // Flush arena maps: build each distinct token's key exactly once.
+        // Flush fold accumulators (one record per key for the whole worker)
+        // and arena maps (each distinct token's key built exactly once).
         // The sketch hashes the *materialized* key — `token_key` may
         // collapse distinct tokens — so sketch and shuffle agree.
-        for (ji, m) in tok_maps.into_iter().enumerate() {
-            let job = jobs[ji];
-            m.drain_into(|tok, v| {
-                let k = job.token_key(tok);
+        for (ji, acc) in accs.into_iter().enumerate() {
+            let mut push = |k: J::K, v: J::V| {
                 let p = if weighted {
                     sketch.observe(key_hash(&k), 1);
                     0
@@ -323,7 +192,12 @@ fn run_merged_path<J: MapReduceJob>(
                     partition_of(&k, num_reducers)
                 };
                 partitions[p].push((ji, k, v));
-            });
+            };
+            match acc {
+                JobAcc::Fold(m) => m.into_iter().for_each(|(k, v)| push(k, v)),
+                JobAcc::Tok(m) => m.drain_into(|tok, v| push(jobs[ji].token_key(tok), v)),
+                JobAcc::Buf(_) => {} // flushed at every block end
+            }
         }
         (partitions, emitted, bytes, sketch.finish())
     });

@@ -346,6 +346,12 @@ pub trait MapReduceJob: Send + Sync {
     /// Default: lossy UTF-8 conversion then [`map_token`](Self::map_token).
     /// Only meaningful when [`map_is_per_token`](Self::map_is_per_token) is
     /// true.
+    ///
+    /// Must be a **pure function of the token bytes**: shared scans call it
+    /// once per *distinct* token per block (replaying the block's
+    /// [`crate::TokenHistogram`]) and fold or repeat the emitted pairs for
+    /// every occurrence, so a hook that counts calls or depends on state
+    /// beyond `token` would see fewer calls than there are occurrences.
     fn map_token_bytes(&self, token: &[u8], emit: &mut dyn FnMut(Self::K, Self::V)) {
         match std::str::from_utf8(token) {
             Ok(s) => self.map_token(s, emit),
@@ -372,6 +378,10 @@ pub trait MapReduceJob: Send + Sync {
 
     /// The value this token contributes, or `None` if the token is filtered
     /// out. Required when [`map_emits_token`](Self::map_emits_token) is true.
+    ///
+    /// Must be a **pure function of the token bytes**, like
+    /// [`map_token_bytes`](Self::map_token_bytes): engines call it once per
+    /// distinct token per block and fold `count` copies of the value.
     fn token_value(&self, _token: &[u8]) -> Option<Self::V> {
         unimplemented!("token_value requires map_emits_token() == true")
     }

@@ -1,14 +1,17 @@
-//! Satellite (c): the zero-copy kernel scan path is **byte-identical** to
-//! the legacy String path — same records, same map-output counts — across
-//! thread counts 1..=16, both scan paths (plain engine and shared-scan
-//! server), adaptive segment sizing on and off, and corpora stressing the
-//! tokenizer's edge cases: empty lines, trailing newlines, CR-LF endings,
-//! tabs, and multi-space runs.
+//! The zero-copy kernel scan path is **byte-identical** to the legacy
+//! String path — same records, same map-output counts — across thread
+//! counts 1..=16, both scan paths (plain engine and shared-scan server,
+//! cooperative and resilient segments), adaptive segment sizing on and
+//! off, and corpora stressing the tokenizer's edge cases: empty lines,
+//! trailing newlines, CR-LF endings, tabs, and multi-space runs. Shared
+//! executors replay a per-block token histogram (one map call per distinct
+//! token, `count` occurrences folded locally); the map-output counts must
+//! still match the per-occurrence oracle exactly.
 
 use proptest::prelude::*;
 use s3_engine::{
     run_job, run_job_legacy, run_merged, run_merged_legacy, AdaptiveConfig, BlockStore,
-    ExecConfig, MapReduceJob, ScanPath, ServerConfig, SharedScanServer,
+    ExecConfig, FtConfig, MapReduceJob, ScanPath, ServerConfig, SharedScanServer,
 };
 use std::time::Duration;
 
@@ -156,6 +159,7 @@ proptest! {
         block_bytes in 4usize..64,
         threads in prop::sample::select(vec![1usize, 2, 4]),
         adaptive in any::<bool>(),
+        resilient in any::<bool>(),
     ) {
         let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
         let jobs = job_variants("a");
@@ -166,6 +170,9 @@ proptest! {
         for scan_path in [ScanPath::Kernel, ScanPath::Legacy] {
             let mut cfg = ServerConfig::new(2, threads);
             cfg.scan_path = scan_path;
+            if resilient {
+                cfg.ft = FtConfig::resilient();
+            }
             if adaptive {
                 cfg.adaptive = AdaptiveConfig {
                     enabled: true,
@@ -189,6 +196,44 @@ proptest! {
                 "fold={} token={} identity={}", job.fold, job.token, job.identity);
             prop_assert_eq!(&k.records, &reference.records, "matches plain engine");
             prop_assert_eq!(k.stats.map_output_records, l.stats.map_output_records);
+        }
+    }
+
+    /// Large, highly repetitive blocks — each distinct token occurs many
+    /// times per block — so the histogram replay folds real counts: every
+    /// `Wc` shape's records and `map_output_records` equal the legacy
+    /// per-occurrence oracle in the merged engine and in the server, both
+    /// segment modes.
+    #[test]
+    fn histogram_replay_counts_match_legacy(
+        codes in prop::collection::vec(0u8..48, 200..1200),
+        block_bytes in 256usize..4096,
+        threads in prop::sample::select(vec![1usize, 2, 4]),
+        resilient in any::<bool>(),
+    ) {
+        let store = BlockStore::from_text(&build_corpus(&codes).repeat(3), block_bytes);
+        let jobs = job_variants("");
+        let refs: Vec<&Wc> = jobs.iter().collect();
+        let cfg = ExecConfig { num_threads: threads, num_reducers: 3, ..ExecConfig::default() };
+        let legacy = run_merged_legacy(&refs, &store, &cfg);
+        let merged = run_merged(&refs, &store, &cfg);
+        let mut server_cfg = ServerConfig::new(2, threads);
+        if resilient {
+            server_cfg.ft = FtConfig::resilient();
+        }
+        let server = SharedScanServer::with_config(store.clone(), server_cfg);
+        let served: Vec<_> = server
+            .submit_all(jobs.clone())
+            .into_iter()
+            .map(|h| h.wait().expect("job completes"))
+            .collect();
+        server.shutdown();
+        for (((m, s), l), job) in merged.iter().zip(&served).zip(&legacy).zip(&jobs) {
+            let shape = format!("fold={} token={} identity={}", job.fold, job.token, job.identity);
+            prop_assert_eq!(&m.records, &l.records, "merged {}", shape);
+            prop_assert_eq!(&s.records, &l.records, "server {}", shape);
+            prop_assert_eq!(m.stats.map_output_records, l.stats.map_output_records, "merged {}", shape);
+            prop_assert_eq!(s.stats.map_output_records, l.stats.map_output_records, "server {}", shape);
         }
     }
 }
