@@ -52,7 +52,6 @@ fn bench_engine_runtime(c: &mut Criterion) {
         let cfg = ExecConfig {
             num_threads: THREADS,
             num_reducers: 8,
-        ..ExecConfig::default()
         };
         let job = PatternWordCount::all();
         b.iter(|| run_job(&job, &store, &cfg));

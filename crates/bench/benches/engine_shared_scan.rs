@@ -25,7 +25,6 @@ fn bench_shared_scan(c: &mut Criterion) {
     let cfg = ExecConfig {
         num_threads: 4,
         num_reducers: 8,
-    ..ExecConfig::default()
     };
 
     let mut g = c.benchmark_group("engine_shared_scan");

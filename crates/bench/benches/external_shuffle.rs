@@ -12,7 +12,6 @@ fn bench_external(c: &mut Criterion) {
     let exec = ExecConfig {
         num_threads: 4,
         num_reducers: 8,
-    ..ExecConfig::default()
     };
 
     let mut g = c.benchmark_group("external_shuffle");

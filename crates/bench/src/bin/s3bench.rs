@@ -19,7 +19,11 @@
 //!   deadline-speculation tail vs the work-assisting claim loop (idle
 //!   workers re-execute the uncommitted tail immediately). Reports wall
 //!   time and the `engine.segment_scan_us` tail (p50/p95/max), where the
-//!   assist path's immediate recovery shows up directly.
+//!   assist path's immediate recovery shows up directly;
+//! - **skew** — a no-combiner word count over a Zipf s=1.2 corpus, hash
+//!   sharded over four reduce shards: wall and reduce-phase wall (median,
+//!   min and max over the repeats) plus the per-shard reduce time and
+//!   record counts, where the hot shard shows up as the max.
 //!
 //! ```text
 //! cargo run --release -p s3-bench --bin s3bench -- [--quick] [--out PATH]
@@ -27,7 +31,7 @@
 
 use s3_engine::{
     run_job, AdaptiveConfig, BlockStore, EngineFault, ExecConfig, FaultPlan, FtConfig,
-    MapReduceJob, Obs, PartitionMode, ServerConfig, SharedScanServer,
+    MapReduceJob, Obs, ServerConfig, SharedScanServer,
 };
 use s3_sim::SimRng;
 use s3_workloads::jobs::PatternWordCount;
@@ -106,7 +110,6 @@ fn bench_single_job(store: &BlockStore, repeats: usize) -> f64 {
     let cfg = ExecConfig {
         num_threads: THREADS,
         num_reducers: REDUCERS,
-    ..ExecConfig::default()
     };
     let job = PatternWordCount::all();
     let samples = (0..repeats)
@@ -299,24 +302,27 @@ impl MapReduceJob for SkewWordCount {
     }
 }
 
-/// One skewed-reduce measurement: a [`SkewWordCount`] revolution over the
-/// Zipf [`SKEW_ZIPF`] corpus under the given partition mode. Returns the
-/// median run's (wall ms, reduce-phase wall ms, metrics snapshot); the
-/// reduce-phase wall is the span from the first `reduce_shard` task
-/// starting to the last one ending — under hash partitioning that is the
-/// hot shard's runtime, which is what weighted planning attacks.
-fn bench_skewed_reduce(
-    store: &BlockStore,
-    repeats: usize,
-    partition: PartitionMode,
-) -> (f64, f64, s3_obs::MetricsSnapshot) {
-    let mut samples: Vec<(f64, f64, s3_obs::MetricsSnapshot)> = (0..repeats)
+/// One skewed-reduce run: total wall, reduce-phase wall, and each
+/// `reduce_shard` span's (µs, records reduced).
+struct SkewRun {
+    wall_ms: f64,
+    reduce_ms: f64,
+    shards: Vec<(u64, u64)>,
+}
+
+/// The skewed-reduce measurement: `repeats` [`SkewWordCount`] revolutions
+/// over the Zipf [`SKEW_ZIPF`] corpus. The reduce-phase wall is the span
+/// from the first `reduce_shard` task starting to the last one ending —
+/// under hash sharding, the hot shard's runtime. Per-shard figures are
+/// read from the trace spans, exact, rather than from the registry's
+/// bucketed histograms.
+fn bench_skewed_reduce(store: &BlockStore, repeats: usize) -> Vec<SkewRun> {
+    (0..repeats)
         .map(|_| {
             let mut cfg = ServerConfig::new(SKEW_BPS, SKEW_THREADS);
             cfg.obs = Obs::new();
-            cfg.partition = partition;
             let obs = cfg.obs.clone();
-            let ms = time_ms(|| {
+            let wall_ms = time_ms(|| {
                 let server = SharedScanServer::with_config(store.clone(), cfg);
                 let handle = server.submit(SkewWordCount);
                 handle.wait().expect("job completed");
@@ -324,49 +330,42 @@ fn bench_skewed_reduce(
             });
             let core = obs.core().expect("Obs::new is on");
             let (mut t0, mut t1) = (u64::MAX, 0u64);
+            let mut shards = Vec::new();
             for ev in core.tracer.drain().iter().filter(|e| e.name == "reduce_shard") {
                 t0 = t0.min(ev.ts_us);
                 t1 = t1.max(ev.ts_us + ev.dur_us);
+                shards.push((ev.dur_us, ev.ids.n));
             }
             let reduce_ms = if t0 == u64::MAX {
                 0.0
             } else {
                 (t1 - t0) as f64 / 1e3
             };
-            (ms, reduce_ms, obs.snapshot().expect("Obs::new is on"))
+            SkewRun { wall_ms, reduce_ms, shards }
         })
-        .collect();
-    // Median by the reduce-phase wall — the measured quantity — not the
-    // total wall, which buries a ~10 ms reduce phase in scan noise.
-    samples.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
-    samples.swap_remove(samples.len() / 2)
+        .collect()
 }
 
-/// The per-shard reduce evidence of one skewed run, as JSON: the
-/// `engine.reduce_shard_us` tail plus the `engine.reduce_shard_records`
-/// spread (how many records the heaviest shard reduced vs the median).
-fn skew_shard_json(snap: &s3_obs::MetricsSnapshot) -> serde_json::Value {
-    let us = snap
-        .histograms
-        .get("engine.reduce_shard_us")
-        .expect("reduce shards ran");
-    let recs = snap
-        .histograms
-        .get("engine.reduce_shard_records")
-        .expect("reduce shards ran");
+/// Median, min and max of a set of repeats, as JSON.
+fn spread_json(mut samples: Vec<f64>) -> serde_json::Value {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     serde_json::json!({
-        "reduce_shard_us": {
-            "count": (us.count),
-            "p50": (us.p50),
-            "p99": (us.p99),
-            "max": (us.max),
-        },
-        "reduce_shard_records": {
-            "count": (recs.count),
-            "p50": (recs.p50),
-            "p99": (recs.p99),
-            "max": (recs.max),
-        },
+        "median": (samples[samples.len() / 2]),
+        "min": (samples[0]),
+        "max": (samples[samples.len() - 1]),
+    })
+}
+
+/// Count, nearest-rank p50 and max of one run's per-shard values. No tail
+/// percentile: a run has one sample per shard, too few for a p99.
+fn shard_stats_json(mut values: Vec<u64>) -> serde_json::Value {
+    values.sort_unstable();
+    let n = values.len();
+    assert!(n > 0, "reduce shards ran");
+    serde_json::json!({
+        "count": n,
+        "p50": (values[n.div_ceil(2) - 1]),
+        "max": (values[n - 1]),
     })
 }
 
@@ -491,20 +490,26 @@ fn main() {
     eprintln!("  assisted_tail         {assisted_ms:>10.2} ms");
 
     eprintln!(
-        "s3bench: skewed reduce (Zipf s={SKEW_ZIPF}, no combiner), \
-         hash vs weighted partitioning, {SKEW_THREADS} shards..."
+        "s3bench: skewed reduce (Zipf s={SKEW_ZIPF}, no combiner), {SKEW_THREADS} hash shards..."
     );
     let skew_store = {
         let gen = TextGen::new(SKEW_VOCAB, SKEW_ZIPF);
         let text = gen.generate(&mut SimRng::seed_from_u64(47), CORPUS_BYTES);
         BlockStore::from_text(&text, BLOCK_BYTES)
     };
-    let (hash_wall_ms, hash_reduce_ms, hash_snap) =
-        bench_skewed_reduce(&skew_store, repeats, PartitionMode::Hash);
-    eprintln!("  skew_hash_reduce      {hash_reduce_ms:>10.2} ms  (wall {hash_wall_ms:.2} ms)");
-    let (wtd_wall_ms, wtd_reduce_ms, wtd_snap) =
-        bench_skewed_reduce(&skew_store, repeats, PartitionMode::weighted());
-    eprintln!("  skew_weighted_reduce  {wtd_reduce_ms:>10.2} ms  (wall {wtd_wall_ms:.2} ms)");
+    let mut skew_runs = bench_skewed_reduce(&skew_store, repeats);
+    let skew_walls: Vec<f64> = skew_runs.iter().map(|r| r.wall_ms).collect();
+    let skew_reduces: Vec<f64> = skew_runs.iter().map(|r| r.reduce_ms).collect();
+    eprintln!(
+        "  skew_reduce           {:>10.2} ms  (wall {:.2} ms)",
+        median_ms(skew_reduces.clone()),
+        median_ms(skew_walls.clone())
+    );
+    // Shard evidence from the median run by the reduce-phase wall — the
+    // measured quantity — not the total wall, which buries a ~2 ms reduce
+    // phase in scan noise.
+    skew_runs.sort_by(|a, b| a.reduce_ms.partial_cmp(&b.reduce_ms).expect("finite"));
+    let skew_median = skew_runs.swap_remove(skew_runs.len() / 2);
 
     eprintln!("s3bench: scan-kernel microbench (single thread, contiguous corpus)...");
     // More repeats: each pass is milliseconds, so medians are cheap.
@@ -603,25 +608,15 @@ fn main() {
             )),
         },
         "skew": {
-            "note": "word count with no combiner collapse over a Zipf-skewed corpus; hash = distribution-oblivious sharding, weighted = sketch-built partition plan with heavy-shard splitting; reduce wall = first reduce_shard start to last reduce_shard end of the median run",
+            "note": "word count with no combiner collapse over a Zipf-skewed corpus, hash-sharded over the reduce pool; reduce wall = first reduce_shard start to last reduce_shard end; shard stats are exact, from the reduce_shard trace spans of the median run by reduce wall",
             "zipf_exponent": SKEW_ZIPF,
             "vocab": SKEW_VOCAB,
             "shards": SKEW_THREADS,
-            "hash": {
-                "wall_ms": hash_wall_ms,
-                "reduce_wall_ms": hash_reduce_ms,
-                "shards": (skew_shard_json(&hash_snap)),
-            },
-            "weighted": {
-                "wall_ms": wtd_wall_ms,
-                "reduce_wall_ms": wtd_reduce_ms,
-                "shards": (skew_shard_json(&wtd_snap)),
-            },
-            "reduce_wall_speedup": (speedup(hash_reduce_ms, wtd_reduce_ms)),
-            "shard_p99_us_speedup": (speedup(
-                hash_snap.histograms["engine.reduce_shard_us"].p99,
-                wtd_snap.histograms["engine.reduce_shard_us"].p99,
-            )),
+            "repeats": repeats,
+            "wall_ms": (spread_json(skew_walls)),
+            "reduce_wall_ms": (spread_json(skew_reduces)),
+            "reduce_shard_us": (shard_stats_json(skew_median.shards.iter().map(|s| s.0).collect())),
+            "reduce_shard_records": (shard_stats_json(skew_median.shards.iter().map(|s| s.1).collect())),
         },
         "metrics": metrics,
     });

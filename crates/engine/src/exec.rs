@@ -3,16 +3,15 @@
 //! [`WorkerPool`] instead of respawning OS threads per phase.
 
 use crate::arena::TokenMap;
-use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
+use crate::partition::partition_of;
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
 use crate::store::BlockStore;
-use crate::types::{ConfigError, MapReduceJob, PartitionMode};
+use crate::types::{ConfigError, MapReduceJob};
 use fxhash::FxHashMap;
 use parking_lot::Mutex;
 use s3_obs::trace::Ids;
 use s3_obs::Obs;
 use std::collections::BTreeMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Execution parameters.
@@ -24,9 +23,6 @@ pub struct ExecConfig {
     pub num_threads: usize,
     /// Number of reduce partitions.
     pub num_reducers: usize,
-    /// How reduce shards are assigned to keys (see [`PartitionMode`]).
-    /// Defaults to [`PartitionMode::Hash`] for bit-compatibility.
-    pub partition: PartitionMode,
 }
 
 impl ExecConfig {
@@ -46,7 +42,6 @@ impl ExecConfig {
         Ok(ExecConfig {
             num_threads,
             num_reducers,
-            partition: PartitionMode::Hash,
         })
     }
 }
@@ -58,7 +53,6 @@ impl Default for ExecConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             num_reducers: 8,
-            partition: PartitionMode::Hash,
         }
     }
 }
@@ -108,12 +102,6 @@ pub struct JobOutput<K: Ord, Out> {
     pub records: BTreeMap<K, Out>,
     /// Execution counters.
     pub stats: ScanStats,
-}
-
-pub(crate) fn partition_of<K: Hash>(key: &K, num_reducers: usize) -> usize {
-    // Bias-free widening-multiply reduction (see `partition::shard_of_hash`);
-    // a zero reducer count clamps to one partition instead of faulting.
-    shard_of_hash(key_hash(key), num_reducers)
 }
 
 /// Run one job's map over one block on the chosen scan path.
@@ -222,11 +210,6 @@ fn run_job_path<J: MapReduceJob>(
     // A zero reducer count clamps to one partition (validated construction
     // via [`ExecConfig::try_new`] reports it as a typed [`ConfigError`]).
     let num_reducers = cfg.num_reducers.max(1);
-    // Weighted partitioning defers shard assignment to the shuffle, where
-    // the merged key-distribution sketch is available: workers emit one
-    // unpartitioned run plus their sketch, and the shuffle routes every
-    // record through the plan. Hash mode keeps the in-worker partitioning.
-    let weighted = cfg.partition.is_weighted();
     let core = obs.core();
 
     let num_blocks = store.num_blocks();
@@ -239,16 +222,15 @@ fn run_job_path<J: MapReduceJob>(
 
     // ---- map phase ----
     let map_t0 = core.map(|c| c.tracer.now_us());
-    type MapOut<K, V> = (Vec<Vec<(K, V)>>, u64, u64, KeySketch);
+    type MapOut<K, V> = (Vec<Vec<(K, V)>>, u64, u64);
     let worker_outputs: Vec<MapOut<J::K, J::V>> = pool.broadcast(num_threads, &|_| {
         let mut claims = if solo {
             BlockClaims::solo(num_blocks)
         } else {
             BlockClaims::shared(&progress)
         };
-        let nparts = if weighted { 1 } else { num_reducers };
-        let mut partitions: Vec<Vec<(J::K, J::V)>> = (0..nparts).map(|_| Vec::new()).collect();
-        let mut sketch = KeySketch::new();
+        let mut partitions: Vec<Vec<(J::K, J::V)>> =
+            (0..num_reducers).map(|_| Vec::new()).collect();
         let mut emitted = 0u64;
         let mut bytes = 0u64;
         if fold && scan_path == ScanPath::Kernel && job.map_emits_token() {
@@ -269,13 +251,8 @@ fn run_job_path<J: MapReduceJob>(
             }
             local.drain_into(|tok, v| {
                 let k = job.token_key(tok);
-                if weighted {
-                    sketch.observe(key_hash(&k), 1);
-                    partitions[0].push((k, v));
-                } else {
-                    let p = partition_of(&k, num_reducers);
-                    partitions[p].push((k, v));
-                }
+                let p = partition_of(&k, num_reducers);
+                partitions[p].push((k, v));
             });
         } else if fold {
             // One accumulator per key for the worker's whole run: no
@@ -300,13 +277,8 @@ fn run_job_path<J: MapReduceJob>(
                 }
             }
             for (k, v) in local {
-                if weighted {
-                    sketch.observe(key_hash(&k), 1);
-                    partitions[0].push((k, v));
-                } else {
-                    let p = partition_of(&k, num_reducers);
-                    partitions[p].push((k, v));
-                }
+                let p = partition_of(&k, num_reducers);
+                partitions[p].push((k, v));
             }
         } else {
             while let Some(idx) = claims.claim() {
@@ -320,13 +292,9 @@ fn run_job_path<J: MapReduceJob>(
                 });
                 for (k, vs) in local {
                     let folded = job.combine(&k, vs);
-                    let p = if weighted { 0 } else { partition_of(&k, num_reducers) };
-                    let h = weighted.then(|| key_hash(&k));
+                    let p = partition_of(&k, num_reducers);
                     let mut folded = folded.into_iter().peekable();
                     while let Some(v) = folded.next() {
-                        if let Some(h) = h {
-                            sketch.observe(h, 1);
-                        }
                         if folded.peek().is_some() {
                             partitions[p].push((k.clone(), v));
                         } else {
@@ -338,57 +306,20 @@ fn run_job_path<J: MapReduceJob>(
                 }
             }
         }
-        (partitions, emitted, bytes, sketch.finish())
+        (partitions, emitted, bytes)
     });
 
     // ---- shuffle: merge worker partitions ----
+    let mut shuffled: Vec<Vec<(J::K, J::V)>> = (0..num_reducers).map(|_| Vec::new()).collect();
     let mut map_output_records = 0u64;
     let mut bytes_scanned = 0u64;
-    let mut merged_sketch = KeySketch::new();
-    type WorkerParts<K, V> = Vec<Vec<(K, V)>>;
-    let mut worker_parts: Vec<WorkerParts<J::K, J::V>> = Vec::with_capacity(num_threads);
-    for (parts, emitted, bytes, sketch) in worker_outputs {
+    for (parts, emitted, bytes) in worker_outputs {
         map_output_records += emitted;
         bytes_scanned += bytes;
-        if weighted {
-            merged_sketch.merge(sketch);
+        for (p, mut recs) in parts.into_iter().enumerate() {
+            shuffled[p].append(&mut recs);
         }
-        worker_parts.push(parts);
     }
-    // Weighted: build the plan from the merged sketches, then route every
-    // record through it — "shuffle partitions by the same plan". Hash:
-    // workers already partitioned; concatenate.
-    let plan = weighted.then(|| {
-        PartitionPlan::build(
-            &merged_sketch,
-            num_reducers,
-            cfg.partition.split_factor_x1000(),
-        )
-    });
-    let shuffled: Vec<Vec<(J::K, J::V)>> = match &plan {
-        Some(plan) => {
-            let mut shuffled: Vec<Vec<(J::K, J::V)>> =
-                (0..plan.nbins()).map(|_| Vec::new()).collect();
-            for parts in worker_parts {
-                for part in parts {
-                    for (k, v) in part {
-                        shuffled[plan.bin_of_hash(key_hash(&k))].push((k, v));
-                    }
-                }
-            }
-            shuffled
-        }
-        None => {
-            let mut shuffled: Vec<Vec<(J::K, J::V)>> =
-                (0..num_reducers).map(|_| Vec::new()).collect();
-            for parts in worker_parts {
-                for (p, mut recs) in parts.into_iter().enumerate() {
-                    shuffled[p].append(&mut recs);
-                }
-            }
-            shuffled
-        }
-    };
     if let (Some(c), Some(t0)) = (core, map_t0) {
         c.tracer
             .span("map_phase", t0, Ids::none().jobs(num_threads as u64));
@@ -505,7 +436,6 @@ mod tests {
             &ExecConfig {
                 num_threads: 4,
                 num_reducers: 4,
-            ..ExecConfig::default()
             },
         );
         assert_eq!(out.records["apple"], 150);
@@ -535,7 +465,6 @@ mod tests {
             &ExecConfig {
                 num_threads: 1,
                 num_reducers: 3,
-            ..ExecConfig::default()
             },
         );
         for threads in [2, 4, 8] {
@@ -545,7 +474,6 @@ mod tests {
                 &ExecConfig {
                     num_threads: threads,
                     num_reducers: 3,
-                ..ExecConfig::default()
                 },
             );
             assert_eq!(out.records, base.records, "threads={threads}");
@@ -560,7 +488,6 @@ mod tests {
             &ExecConfig {
                 num_threads: 4,
                 num_reducers: 1,
-            ..ExecConfig::default()
             },
         );
         for reducers in [2, 7, 16] {
@@ -570,7 +497,6 @@ mod tests {
                 &ExecConfig {
                     num_threads: 4,
                     num_reducers: reducers,
-                ..ExecConfig::default()
                 },
             );
             assert_eq!(out.records, base.records, "reducers={reducers}");
@@ -591,7 +517,6 @@ mod tests {
         let cfg = ExecConfig {
             num_threads: 2,
             num_reducers: 4,
-        ..ExecConfig::default()
         };
         let pool = WorkerPool::new(2);
         for prefix in ["", "ap", "ba", "zz"] {

@@ -15,8 +15,8 @@
 //! Outputs are byte-identical to the in-memory engine — that equivalence
 //! is what the cost model's `sort_s_per_mb` term abstracts.
 
-use crate::exec::{partition_of, ExecConfig, JobOutput, ScanStats};
-use crate::partition::{key_hash, KeySketch, PartitionPlan};
+use crate::exec::{ExecConfig, JobOutput, ScanStats};
+use crate::partition::partition_of;
 use crate::pool::WorkerPool;
 use crate::store::BlockStore;
 use crate::types::MapReduceJob;
@@ -165,16 +165,9 @@ where
     let spill_bytes = AtomicU64::new(0);
     // Degenerate reducer counts clamp to one partition instead of faulting.
     let num_reducers = cfg.exec.num_reducers.max(1);
-    let weighted = cfg.exec.partition.is_weighted();
-    // Spill files fix partition ids at write time — before any global key
-    // sketch exists — so the weighted plan operates at spill-bin
-    // granularity: over-partition the hash space into fine bins, count
-    // records per bin during the scan, and let the same [`PartitionPlan`]
-    // machinery group fine bins into weight-balanced merge groups.
-    let nfine = if weighted { num_reducers * 8 } else { num_reducers };
 
     // ---- map phase: buffer, sort, spill (on a per-call worker pool) ----
-    type MapOut = (Vec<PathBuf>, u64, u64, Vec<u64>);
+    type MapOut = (Vec<PathBuf>, u64, u64);
     let pool = WorkerPool::new(cfg.exec.num_threads);
     let worker_results: Vec<std::io::Result<MapOut>> =
         pool.broadcast(cfg.exec.num_threads, &|_| -> std::io::Result<MapOut> {
@@ -182,7 +175,6 @@ where
             let mut runs: Vec<PathBuf> = Vec::new();
             let mut emitted = 0u64;
             let mut bytes = 0u64;
-            let mut bin_counts = vec![0u64; nfine];
 
             let spill = |buffer: &mut Vec<(u32, J::K, J::V)>,
                          runs: &mut Vec<PathBuf>|
@@ -240,8 +232,7 @@ where
                 for line in memchr::lines(block) {
                     job.map_bytes(line, &mut |k, v| {
                         emitted += 1;
-                        let p = partition_of(&k, nfine) as u32;
-                        bin_counts[p as usize] += 1;
+                        let p = partition_of(&k, num_reducers) as u32;
                         buffer.push((p, k, v));
                     });
                     if buffer.len() >= cfg.spill_records {
@@ -250,21 +241,17 @@ where
                 }
             }
             spill(&mut buffer, &mut runs)?;
-            Ok((runs, emitted, bytes, bin_counts))
+            Ok((runs, emitted, bytes))
         });
 
     let mut all_runs: Vec<PathBuf> = Vec::new();
     let mut map_output_records = 0u64;
     let mut bytes_scanned = 0u64;
-    let mut bin_counts = vec![0u64; nfine];
     for r in worker_results {
-        let (runs, emitted, bytes, counts) = r?;
+        let (runs, emitted, bytes) = r?;
         all_runs.extend(runs);
         map_output_records += emitted;
         bytes_scanned += bytes;
-        for (b, c) in counts.into_iter().enumerate() {
-            bin_counts[b] += c;
-        }
     }
     let stats = SpillStats {
         spills: all_runs.len() as u64,
@@ -282,34 +269,8 @@ where
     }
 
     // ---- reduce phase: per partition, k-way merge of the sorted runs ----
-    // Weighted: feed the per-fine-bin record counts through the shared
-    // plan (each fine bin is one "key" weighted by its records), then run
-    // the heaviest merge group's bins first so the longest merges start
-    // earliest. Hash: the classic in-order sweep. Either way every key
-    // lives in exactly one fine bin, so the output BTreeMap is identical.
-    let order: Vec<u32> = if weighted {
-        let mut sketch = KeySketch::new();
-        for (f, &c) in bin_counts.iter().enumerate() {
-            sketch.observe(key_hash(&(f as u64)), c);
-        }
-        let plan = PartitionPlan::build(
-            &sketch.finish(),
-            num_reducers,
-            cfg.exec.partition.split_factor_x1000(),
-        );
-        let mut groups: Vec<(u64, Vec<u32>)> = vec![(0, Vec::new()); plan.nbins()];
-        for (f, &c) in bin_counts.iter().enumerate() {
-            let g = plan.bin_of_hash(key_hash(&(f as u64)));
-            groups[g].0 += c;
-            groups[g].1.push(f as u32);
-        }
-        groups.sort_by_key(|g| std::cmp::Reverse(g.0));
-        groups.into_iter().flat_map(|(_, fs)| fs).collect()
-    } else {
-        (0..num_reducers as u32).collect()
-    };
     let mut records: BTreeMap<J::K, J::Out> = BTreeMap::new();
-    for partition in order {
+    for partition in 0..num_reducers as u32 {
         let merge_t0 = core.map(|c| c.tracer.now_us());
         merge_partition(job, &all_runs, partition, &mut records)?;
         if let (Some(c), Some(t0)) = (core, merge_t0) {
@@ -526,7 +487,6 @@ mod tests {
             exec: ExecConfig {
                 num_threads: 3,
                 num_reducers: 4,
-            ..ExecConfig::default()
             },
             spill_records,
             tmp_dir: None,

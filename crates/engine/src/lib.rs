@@ -90,4 +90,4 @@ pub use scan_server::{
 pub use service::{FileSpec, QosConfig, ScanService, ServiceConfig, ServiceStats};
 pub use shared::{run_merged, run_merged_legacy, run_merged_observed, run_merged_on};
 pub use store::{BlockStore, FileCatalog, FileId, NonUtf8Block, UnknownFile};
-pub use types::{ConfigError, JobError, JobResult, MapReduceJob, PartitionMode, QosClass, RejectReason};
+pub use types::{ConfigError, JobError, JobResult, MapReduceJob, QosClass, RejectReason};

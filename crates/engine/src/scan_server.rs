@@ -75,10 +75,10 @@
 use crate::exec::{JobOutput, ScanPath, ScanStats};
 use crate::fault::{ArmedFaults, FaultPlan, FtConfig};
 use crate::map_kernel::{scan_block, BlockTokens, JobAcc, TokenHistogram};
-use crate::partition::{key_hash, shard_of_hash, KeySketch, PartitionPlan};
+use crate::partition::partition_of;
 use crate::pool::{BlockClaims, WorkProgress, WorkerPool};
 use crate::store::BlockStore;
-use crate::types::{JobError, JobResult, MapReduceJob, PartitionMode};
+use crate::types::{JobError, JobResult, MapReduceJob};
 use fxhash::FxHashMap;
 use parking_lot::{Condvar, Mutex};
 use s3_obs::trace::Ids;
@@ -146,8 +146,8 @@ struct ServerObs {
     shard_split: Arc<Histogram>,
     /// Duration of one reduce-pool finalization shard.
     reduce_shard: Arc<Histogram>,
-    /// Records reduced by one finalization shard — the skew signal the
-    /// weighted partitioner flattens.
+    /// Records reduced by one finalization shard — the skew signal of a
+    /// hot key under hash sharding.
     reduce_shard_records: Arc<Histogram>,
     /// Speculative claim → winning commit: how long a lost/stalled block
     /// took to recover once the deadline flagged it.
@@ -544,10 +544,6 @@ pub struct ServerConfig {
     /// lifetime. Ignored unless [`obs`](ServerConfig::obs) is on; see
     /// [`SharedScanServer::metrics_addr`] for the resolved address.
     pub metrics_addr: Option<String>,
-    /// How finalization routes keys to reduce shards:
-    /// [`PartitionMode::Hash`] (default, bit-compatible) or
-    /// [`PartitionMode::Weighted`] (skew-aware, sketch-driven).
-    pub partition: PartitionMode,
 }
 
 impl ServerConfig {
@@ -564,7 +560,6 @@ impl ServerConfig {
             adaptive: AdaptiveConfig::default(),
             scan_path: ScanPath::Kernel,
             metrics_addr: None,
-            partition: PartitionMode::Hash,
         }
     }
 }
@@ -614,8 +609,6 @@ struct ServerShared<J: MapReduceJob> {
     faults: Option<Arc<ArmedFaults>>,
     /// Which scan implementation walks the blocks (kernel or legacy).
     scan_path: ScanPath,
-    /// How finalization routes keys to reduce shards.
-    partition: PartitionMode,
     /// EWMA of block-scan time (µs); drives the speculative deadline.
     ewma_block_us: AtomicU64,
     /// Consecutive deadline misses per virtual worker; reset by an
@@ -723,7 +716,6 @@ impl<J: MapReduceJob + 'static> SharedScanServer<J> {
             ft: config.ft,
             faults: config.faults.as_ref().map(|p| p.arm()),
             scan_path: config.scan_path,
-            partition: config.partition,
             ewma_block_us: AtomicU64::new(0),
             misses: (0..num_threads).map(|_| AtomicU32::new(0)).collect(),
             obs: ServerObs::new(&config.obs),
@@ -1934,9 +1926,6 @@ struct FinishCtx<J: MapReduceJob> {
     completion: Completion<J::K, J::Out>,
     failure: Arc<JobFailure>,
     faults: Option<Arc<ArmedFaults>>,
-    /// Weighted routing plan, merged from the workers' key sketches at
-    /// finish time. `None` runs the hash path.
-    plan: Option<PartitionPlan>,
     state: Mutex<FinishState<J>>,
     remaining: AtomicUsize,
     stats: ScanStats,
@@ -1953,7 +1942,7 @@ struct FinishState<J: MapReduceJob> {
     /// Key-hash shards, built lazily by the first shard task to run.
     buckets: Vec<Option<JobAcc<J>>>,
     /// Reduce-input records routed into each shard, filled at split time.
-    bin_records: Vec<u64>,
+    shard_records: Vec<u64>,
     /// Reduced output of each shard.
     parts: Vec<Option<ReducedPart<J>>>,
 }
@@ -2008,49 +1997,6 @@ fn finish_job<J: MapReduceJob + 'static>(
     // div-by-zero mid-reduce.
     let nshards = reduce_pool.num_threads().max(1);
 
-    // Weighted mode: sketch each worker accumulator's combiner-output key
-    // distribution (weight = reduce-input records it will contribute),
-    // merge the per-worker sketches, and build the routing plan. The plan's
-    // estimates sum exactly to the records the split will route, which is
-    // the `partition_plan`/`reduce_shard` trace invariant.
-    let plan = shared.partition.is_weighted().then(|| {
-        let mut merged = KeySketch::new().finish();
-        for acc in &partials {
-            let mut s = KeySketch::new();
-            match acc {
-                JobAcc::Fold(m) => {
-                    for k in m.keys() {
-                        s.observe(key_hash(k), 1);
-                    }
-                }
-                // Hash the *materialized* key — `token_key` may collapse
-                // distinct tokens — so the sketch agrees with the split.
-                JobAcc::Tok(m) => m.for_each(|tok, _| {
-                    s.observe(key_hash(&job.job.token_key(tok)), 1);
-                }),
-                JobAcc::Buf(m) => {
-                    for (k, vs) in m {
-                        s.observe(key_hash(k), vs.len() as u64);
-                    }
-                }
-            }
-            merged.merge(s.finish());
-        }
-        let p = PartitionPlan::build(&merged, nshards, shared.partition.split_factor_x1000());
-        debug_assert_eq!(p.estimates().iter().sum::<u64>(), merged.total());
-        p
-    });
-    if let (Some(o), Some(p)) = (&obs, &plan) {
-        // One instant per bin: shard index in its id field, estimated
-        // weight in `n`. check_engine_events sums these against the
-        // `reduce_shard` record counts.
-        for (b, &w) in p.estimates().iter().enumerate() {
-            o.tracer()
-                .instant("partition_plan", Ids::job(job.id).shard(b as u64).jobs(w));
-        }
-    }
-    let nbins = plan.as_ref().map_or(nshards, PartitionPlan::nbins);
-
     let ctx = Arc::new(FinishCtx {
         job: job.job,
         job_id: job.id,
@@ -2058,15 +2004,14 @@ fn finish_job<J: MapReduceJob + 'static>(
         completion: job.completion,
         failure: job.failure,
         faults: shared.faults.clone(),
-        plan,
         state: Mutex::new(FinishState {
             sharded: false,
             partials,
-            buckets: (0..nbins).map(|_| None).collect(),
-            bin_records: vec![0; nbins],
-            parts: (0..nbins).map(|_| None).collect(),
+            buckets: (0..nshards).map(|_| None).collect(),
+            shard_records: vec![0; nshards],
+            parts: (0..nshards).map(|_| None).collect(),
         }),
-        remaining: AtomicUsize::new(nbins),
+        remaining: AtomicUsize::new(nshards),
         stats: ScanStats {
             blocks_scanned: job.blocks_seen,
             bytes_scanned: job.bytes_seen,
@@ -2075,12 +2020,9 @@ fn finish_job<J: MapReduceJob + 'static>(
         },
         obs,
     });
-    // Split bins past the pool width simply queue: the reduce pool drains
-    // bins in submission order, so extras land on whichever worker frees
-    // up first — exactly the idle-worker spreading the split is for.
-    for s in 0..nbins {
+    for s in 0..nshards {
         let ctx = Arc::clone(&ctx);
-        reduce_pool.execute(move || run_finish_shard(ctx, s, nbins));
+        reduce_pool.execute(move || run_finish_shard(ctx, s, nshards));
     }
 }
 
@@ -2093,22 +2035,16 @@ fn finish_job<J: MapReduceJob + 'static>(
 /// call did the split, so the caller can attribute the cost to its own
 /// `shard_split` span rather than polluting that shard's `reduce_shard`
 /// measurement.
-fn ensure_sharded<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, nbins: usize) -> bool {
+fn ensure_sharded<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, nshards: usize) -> bool {
     let mut st = ctx.state.lock();
     if st.sharded {
         return false;
     }
-    // The weighted plan routes heavy keys explicitly; the hash path uses
-    // the bias-free reduction over the base shard count.
-    let route = |k: &J::K| match &ctx.plan {
-        Some(p) => p.bin_of_hash(key_hash(k)),
-        None => shard_of_hash(key_hash(k), nbins),
-    };
     let partials = std::mem::take(&mut st.partials);
     let fold = ctx.job.combine_is_fold();
     // Buckets hold materialized keys, so token-identity partials shard
     // into plain Fold buckets (the fast path implies fold).
-    let mut buckets: Vec<JobAcc<J>> = (0..nbins)
+    let mut buckets: Vec<JobAcc<J>> = (0..nshards)
         .map(|_| {
             if fold {
                 JobAcc::Fold(FxHashMap::default())
@@ -2117,13 +2053,13 @@ fn ensure_sharded<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, nbins: usize) -
             }
         })
         .collect();
-    let mut bin_records = vec![0u64; nbins];
+    let mut shard_records = vec![0u64; nshards];
     for acc in partials {
         match acc {
             JobAcc::Fold(map) => {
                 for (k, v) in map {
-                    let b = route(&k);
-                    bin_records[b] += 1;
+                    let b = partition_of(&k, nshards);
+                    shard_records[b] += 1;
                     // Fold-merges values of keys seen by several workers.
                     buckets[b].push(&*ctx.job, k, v);
                 }
@@ -2133,15 +2069,15 @@ fn ensure_sharded<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, nbins: usize) -
                 // distinct token per worker accumulator.
                 map.drain_into(|tok, v| {
                     let k = ctx.job.token_key(tok);
-                    let b = route(&k);
-                    bin_records[b] += 1;
+                    let b = partition_of(&k, nshards);
+                    shard_records[b] += 1;
                     buckets[b].push(&*ctx.job, k, v);
                 });
             }
             JobAcc::Buf(map) => {
                 for (k, mut vs) in map {
-                    let b = route(&k);
-                    bin_records[b] += vs.len() as u64;
+                    let b = partition_of(&k, nshards);
+                    shard_records[b] += vs.len() as u64;
                     match &mut buckets[b] {
                         JobAcc::Buf(m) => m.entry(k).or_default().append(&mut vs),
                         _ => unreachable!("bucket kind matches job kind"),
@@ -2151,7 +2087,7 @@ fn ensure_sharded<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, nbins: usize) -
         }
     }
     st.buckets = buckets.into_iter().map(Some).collect();
-    st.bin_records = bin_records;
+    st.shard_records = shard_records;
     st.sharded = true;
     true
 }
@@ -2197,14 +2133,14 @@ fn finish_shard_inner<J: MapReduceJob + 'static>(ctx: &FinishCtx<J>, s: usize) -
     part
 }
 
-fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize, nbins: usize) {
+fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize, nshards: usize) {
     // Phase-global split into per-shard buckets, charged to its own
     // `shard_split` span: leaving it inside whichever `reduce_shard` span
     // ran first made that histogram's tail show the split cost instead of
     // the per-shard reduce skew. A panic inside user merge code during
     // the split quarantines the job like any reduce panic.
     let split_t0 = ctx.obs.as_ref().map(|o| o.tracer().now_us());
-    match catch_unwind(AssertUnwindSafe(|| ensure_sharded(&ctx, nbins))) {
+    match catch_unwind(AssertUnwindSafe(|| ensure_sharded(&ctx, nshards))) {
         Ok(true) => {
             if let (Some(o), Some(t0)) = (&ctx.obs, split_t0) {
                 o.tracer().span("shard_split", t0, Ids::job(ctx.job_id));
@@ -2228,7 +2164,7 @@ fn run_finish_shard<J: MapReduceJob + 'static>(ctx: Arc<FinishCtx<J>>, s: usize,
     let shard_records = {
         let mut st = ctx.state.lock();
         st.parts[s] = Some(part);
-        st.bin_records.get(s).copied().unwrap_or(0)
+        st.shard_records.get(s).copied().unwrap_or(0)
     };
     if let (Some(o), Some(t0)) = (&ctx.obs, shard_t0) {
         // The shard index rides in its own id field — packing it into the

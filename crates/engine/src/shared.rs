@@ -18,9 +18,9 @@
 //! is what makes shared scanning a pure optimization; the test suite and
 //! `tests/` integration tests enforce it record-for-record.
 
-use crate::exec::{partition_of, ExecConfig, JobOutput, ScanPath, ScanStats};
+use crate::exec::{ExecConfig, JobOutput, ScanPath, ScanStats};
 use crate::map_kernel::{scan_block, BlockTokens, JobAcc, TokenHistogram};
-use crate::partition::{key_hash, KeySketch, PartitionPlan};
+use crate::partition::partition_of;
 use crate::pool::WorkerPool;
 use crate::store::BlockStore;
 use crate::types::MapReduceJob;
@@ -119,7 +119,6 @@ fn run_merged_path<J: MapReduceJob>(
     // Degenerate reducer counts clamp to one shard instead of faulting
     // mid-reduce; `ExecConfig::try_new` is the typed front door.
     let num_reducers = cfg.num_reducers.max(1);
-    let weighted = cfg.partition.is_weighted();
     let core = obs.core();
 
     let next_block = AtomicUsize::new(0);
@@ -132,15 +131,10 @@ fn run_merged_path<J: MapReduceJob>(
     // ---- shared map phase: tag tuples with their job index ----
     let map_t0 = core.map(|c| c.tracer.now_us());
     type Tagged<K, V> = (usize, K, V);
-    type MapOut<K, V> = (Vec<Vec<Tagged<K, V>>>, Vec<u64>, u64, KeySketch);
+    type MapOut<K, V> = (Vec<Vec<Tagged<K, V>>>, Vec<u64>, u64);
     let worker_outputs: Vec<MapOut<J::K, J::V>> = pool.broadcast(num_threads, &|_| {
-        // Weighted mode defers partitioning to the shuffle: each worker
-        // emits one unpartitioned run plus a key-frequency sketch, and the
-        // merged sketches drive a weighted plan over all workers' records.
-        let nparts = if weighted { 1 } else { num_reducers };
         let mut partitions: Vec<Vec<Tagged<J::K, J::V>>> =
-            (0..nparts).map(|_| Vec::new()).collect();
-        let mut sketch = KeySketch::new();
+            (0..num_reducers).map(|_| Vec::new()).collect();
         let mut emitted = vec![0u64; num_jobs];
         let mut bytes = 0u64;
         // Fold and token-identity jobs stream into one accumulator per key
@@ -166,14 +160,8 @@ fn run_merged_path<J: MapReduceJob>(
             for (ji, acc) in accs.iter_mut().enumerate() {
                 let JobAcc::Buf(buf) = acc else { continue };
                 for (k, vs) in buf.drain() {
-                    let folded = jobs[ji].combine(&k, vs);
-                    let p = if weighted {
-                        sketch.observe(key_hash(&k), folded.len() as u64);
-                        0
-                    } else {
-                        partition_of(&k, num_reducers)
-                    };
-                    for v in folded {
+                    let p = partition_of(&k, num_reducers);
+                    for v in jobs[ji].combine(&k, vs) {
                         partitions[p].push((ji, k.clone(), v));
                     }
                 }
@@ -181,17 +169,9 @@ fn run_merged_path<J: MapReduceJob>(
         }
         // Flush fold accumulators (one record per key for the whole worker)
         // and arena maps (each distinct token's key built exactly once).
-        // The sketch hashes the *materialized* key — `token_key` may
-        // collapse distinct tokens — so sketch and shuffle agree.
         for (ji, acc) in accs.into_iter().enumerate() {
             let mut push = |k: J::K, v: J::V| {
-                let p = if weighted {
-                    sketch.observe(key_hash(&k), 1);
-                    0
-                } else {
-                    partition_of(&k, num_reducers)
-                };
-                partitions[p].push((ji, k, v));
+                partitions[partition_of(&k, num_reducers)].push((ji, k, v));
             };
             match acc {
                 JobAcc::Fold(m) => m.into_iter().for_each(|(k, v)| push(k, v)),
@@ -199,42 +179,21 @@ fn run_merged_path<J: MapReduceJob>(
                 JobAcc::Buf(_) => {} // flushed at every block end
             }
         }
-        (partitions, emitted, bytes, sketch.finish())
+        (partitions, emitted, bytes)
     });
 
     // ---- shuffle ----
-    // Weighted: merge the per-worker sketches into one plan and route every
-    // record by its key hash; the plan may split hot bins past the base
-    // width (the reduce loop iterates partition count, not pool width).
-    let plan = weighted.then(|| {
-        let mut merged = KeySketch::new().finish();
-        for (_, _, _, s) in &worker_outputs {
-            merged.merge(s.clone());
-        }
-        PartitionPlan::build(&merged, num_reducers, cfg.partition.split_factor_x1000())
-    });
-    let nbins = plan.as_ref().map_or(num_reducers, PartitionPlan::nbins);
-    let mut shuffled: Vec<Vec<Tagged<J::K, J::V>>> = (0..nbins).map(|_| Vec::new()).collect();
+    let mut shuffled: Vec<Vec<Tagged<J::K, J::V>>> =
+        (0..num_reducers).map(|_| Vec::new()).collect();
     let mut per_job_emitted = vec![0u64; num_jobs];
     let mut bytes_scanned = 0u64;
-    for (parts, emitted, bytes, _) in worker_outputs {
+    for (parts, emitted, bytes) in worker_outputs {
         bytes_scanned += bytes;
         for (ji, e) in emitted.into_iter().enumerate() {
             per_job_emitted[ji] += e;
         }
-        match &plan {
-            Some(plan) => {
-                for recs in parts {
-                    for (ji, k, v) in recs {
-                        shuffled[plan.bin_of_hash(key_hash(&k))].push((ji, k, v));
-                    }
-                }
-            }
-            None => {
-                for (p, mut recs) in parts.into_iter().enumerate() {
-                    shuffled[p].append(&mut recs);
-                }
-            }
+        for (p, mut recs) in parts.into_iter().enumerate() {
+            shuffled[p].append(&mut recs);
         }
     }
     if let (Some(c), Some(t0)) = (core, map_t0) {
@@ -353,7 +312,6 @@ mod tests {
         ExecConfig {
             num_threads: 4,
             num_reducers: 5,
-        ..ExecConfig::default()
         }
     }
 

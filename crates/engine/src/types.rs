@@ -58,65 +58,6 @@ impl QosClass {
     }
 }
 
-/// How reduce shards are assigned to intermediate keys.
-///
-/// [`PartitionMode::Hash`] (the default) is the classic MapReduce shuffle:
-/// shard = bias-free hash of the key — oblivious to the key distribution,
-/// so a Zipf-skewed corpus hot-spots the shard that draws the head of the
-/// distribution and the whole job waits on it.
-///
-/// [`PartitionMode::Weighted`] samples the combiner-output key
-/// distribution during the scan (a per-worker top-K sketch over data that
-/// already streams through the fold combiners and `TokenMap` arenas),
-/// merges the sketches when the job finishes its revolution, and builds a
-/// weighted partition plan that equalizes estimated records-per-shard —
-/// splitting any shard whose estimated weight exceeds a configurable
-/// factor of the mean across extra reduce-pool tasks. Outputs are
-/// record-identical to hash partitioning in every mode: shards hold
-/// disjoint key sets and the publisher sorts the concatenation into one
-/// ordered relation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum PartitionMode {
-    /// Distribution-oblivious hash sharding (default, bit-compatible with
-    /// prior releases).
-    #[default]
-    Hash,
-    /// Skew-aware weighted sharding from a sampled key distribution.
-    Weighted {
-        /// Split threshold in thousandths of the mean shard weight: a
-        /// shard estimated heavier than `split_factor_x1000 / 1000 ×
-        /// mean` sheds heavy keys into extra reduce tasks. `0` selects
-        /// the default factor (1250 = 1.25 × mean).
-        split_factor_x1000: u32,
-    },
-}
-
-impl PartitionMode {
-    /// [`PartitionMode::Weighted`] with the default split factor.
-    pub fn weighted() -> PartitionMode {
-        PartitionMode::Weighted {
-            split_factor_x1000: 0,
-        }
-    }
-
-    /// Whether this mode builds a weighted partition plan.
-    pub fn is_weighted(self) -> bool {
-        matches!(self, PartitionMode::Weighted { .. })
-    }
-
-    /// The resolved split threshold in thousandths of the mean shard
-    /// weight (1250 unless overridden).
-    pub fn split_factor_x1000(self) -> u64 {
-        match self {
-            PartitionMode::Hash => 1250,
-            PartitionMode::Weighted {
-                split_factor_x1000: 0,
-            } => 1250,
-            PartitionMode::Weighted { split_factor_x1000 } => split_factor_x1000 as u64,
-        }
-    }
-}
-
 /// A structurally invalid execution or server configuration, reported at
 /// construction time instead of a panic (historically a div-by-zero)
 /// deep inside the reduce phase.
@@ -126,8 +67,6 @@ pub enum ConfigError {
     ZeroThreads,
     /// `num_reducers == 0`: no shard could ever receive a key.
     ZeroReducers,
-    /// `blocks_per_segment == 0`: the circular scan could never advance.
-    ZeroBlocksPerSegment,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -135,9 +74,6 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroThreads => write!(f, "config needs at least one worker thread"),
             ConfigError::ZeroReducers => write!(f, "config needs at least one reducer"),
-            ConfigError::ZeroBlocksPerSegment => {
-                write!(f, "config needs at least one block per segment")
-            }
         }
     }
 }

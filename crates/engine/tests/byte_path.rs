@@ -60,7 +60,6 @@ fn run_job_scans_invalid_utf8_byte_for_byte() {
     let cfg = ExecConfig {
         num_threads: 2,
         num_reducers: 2,
-    ..ExecConfig::default()
     };
     let out = run_job(&ByteTokenCount, &s, &cfg);
     // Tokens with invalid bytes arrive intact — no replacement characters.
@@ -79,7 +78,6 @@ fn legacy_path_degrades_lossily_but_does_not_panic() {
     let cfg = ExecConfig {
         num_threads: 2,
         num_reducers: 2,
-    ..ExecConfig::default()
     };
     let out = run_job_legacy(&ByteTokenCount, &s, &cfg);
     // The oracle path lossily converts, so invalid sequences become U+FFFD
@@ -103,7 +101,6 @@ fn shared_scan_server_serves_invalid_utf8_stores() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 2,
-        ..ExecConfig::default()
         },
     );
     let server = SharedScanServer::with_config(s, ServerConfig::new(2, 2));
@@ -121,7 +118,6 @@ fn from_bytes_round_trips_an_invalid_corpus() {
     let cfg = ExecConfig {
         num_threads: 4,
         num_reducers: 2,
-    ..ExecConfig::default()
     };
     let out = run_job(&ByteTokenCount, &s, &cfg);
     assert_eq!(out.stats.bytes_scanned as usize, s.total_bytes());

@@ -101,7 +101,6 @@ fn one_block_store_scans_exactly_once() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 2,
-        ..ExecConfig::default()
         },
     );
 
@@ -137,7 +136,6 @@ fn solo_scan_shapes_issue_zero_claim_ops() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 2,
-        ..ExecConfig::default()
         },
     );
     let one = BlockStore::from_text("iota kappa iota\n", 1024);
@@ -210,7 +208,6 @@ fn bytes_scanned_matches_claimed_slice_lengths_exactly() {
             &ExecConfig {
                 num_threads: 2,
                 num_reducers: 2,
-            ..ExecConfig::default()
             },
         );
         assert_eq!(solo.stats.bytes_scanned, claimed, "{store_name}: run_job");
@@ -255,7 +252,6 @@ fn fanned_out_scan_goes_through_the_shared_cursor() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 2,
-        ..ExecConfig::default()
         },
     );
     let server = SharedScanServer::with_config(s.clone(), ServerConfig::new(4, 3));
@@ -283,7 +279,6 @@ fn oversized_segment_config_is_exact_on_both_paths() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 2,
-        ..ExecConfig::default()
         },
     );
 

@@ -17,7 +17,8 @@ use std::time::Duration;
 
 /// Prefix wordcount with every engine path switchable per instance:
 /// buffered vs fold combiner, per-line vs per-token map, and the
-/// token-identity fast path (raw-byte interning). All four must agree.
+/// token-identity fast path (raw-byte interning). All five shapes in
+/// [`job_variants`] must agree.
 #[derive(Clone)]
 struct Wc {
     prefix: String,
@@ -98,6 +99,7 @@ fn job_variants(prefix: &str) -> Vec<Wc> {
     let p = prefix.to_string();
     vec![
         Wc { prefix: p.clone(), fold: false, token: false, identity: false },
+        Wc { prefix: p.clone(), fold: false, token: true, identity: false },
         Wc { prefix: p.clone(), fold: true, token: false, identity: false },
         Wc { prefix: p.clone(), fold: true, token: true, identity: false },
         Wc { prefix: p, fold: true, token: true, identity: true },
@@ -118,7 +120,7 @@ proptest! {
         prefix in prop::sample::select(vec!["", "a", "ab", "c"]),
     ) {
         let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
         for job in job_variants(prefix) {
             let kernel = run_job(&job, &store, &cfg);
             let legacy = run_job_legacy(&job, &store, &cfg);
@@ -130,18 +132,18 @@ proptest! {
     }
 
     /// Kernel `run_merged` equals legacy `run_merged` when one batch mixes
-    /// all four job variants over one shared scan.
+    /// every job variant over one shared scan.
     #[test]
     fn run_merged_kernel_equals_legacy(
         codes in prop::collection::vec(0u8..48, 2..160),
         block_bytes in 4usize..96,
-        threads in prop::sample::select(vec![1usize, 2, 4, 16]),
+        threads in prop::sample::select(vec![1usize, 2, 4, 8, 16]),
         reducers in 1usize..6,
     ) {
         let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
         let jobs = job_variants("a");
         let refs: Vec<&Wc> = jobs.iter().collect();
-        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers ,..ExecConfig::default()};
+        let cfg = ExecConfig { num_threads: threads, num_reducers: reducers };
         let kernel = run_merged(&refs, &store, &cfg);
         let legacy = run_merged_legacy(&refs, &store, &cfg);
         for ((k, l), job) in kernel.iter().zip(&legacy).zip(&jobs) {
@@ -157,14 +159,14 @@ proptest! {
     fn server_kernel_equals_legacy(
         codes in prop::collection::vec(0u8..48, 2..120),
         block_bytes in 4usize..64,
-        threads in prop::sample::select(vec![1usize, 2, 4]),
+        threads in prop::sample::select(vec![1usize, 2, 4, 8]),
         adaptive in any::<bool>(),
         resilient in any::<bool>(),
     ) {
         let store = BlockStore::from_text(&build_corpus(&codes), block_bytes);
         let jobs = job_variants("a");
         let reference = run_job(&jobs[0], &store,
-            &ExecConfig { num_threads: 1, num_reducers: 2 ,..ExecConfig::default()});
+            &ExecConfig { num_threads: 1, num_reducers: 2 });
 
         let mut outputs = Vec::new();
         for scan_path in [ScanPath::Kernel, ScanPath::Legacy] {
@@ -214,7 +216,7 @@ proptest! {
         let store = BlockStore::from_text(&build_corpus(&codes).repeat(3), block_bytes);
         let jobs = job_variants("");
         let refs: Vec<&Wc> = jobs.iter().collect();
-        let cfg = ExecConfig { num_threads: threads, num_reducers: 3, ..ExecConfig::default() };
+        let cfg = ExecConfig { num_threads: threads, num_reducers: 3 };
         let legacy = run_merged_legacy(&refs, &store, &cfg);
         let merged = run_merged(&refs, &store, &cfg);
         let mut server_cfg = ServerConfig::new(2, threads);

@@ -150,7 +150,6 @@ fn observed_run_job_records_phase_spans_and_counters() {
         &s3_engine::ExecConfig {
             num_threads: 2,
             num_reducers: 4,
-        ..s3_engine::ExecConfig::default()
         },
         &obs,
     );
@@ -172,7 +171,6 @@ fn observed_external_run_counts_shuffle_bytes() {
         exec: s3_engine::ExecConfig {
             num_threads: 2,
             num_reducers: 4,
-        ..s3_engine::ExecConfig::default()
         },
         spill_records: 64,
         tmp_dir: None,

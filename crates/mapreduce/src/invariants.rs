@@ -487,6 +487,9 @@ impl InvariantChecker<'_> {
 ///    admitted sequence numbers strictly increase, so admission never
 ///    reorders a class queue (sequence numbers are assigned under the
 ///    queue lock, making this check race-free where timestamps are not).
+/// 10. **Reduce shards** — per job, each `reduce_shard` id (in
+///     `ids.shard`) appears at most once, and a completed, unquarantined
+///     job's shard ids are exactly `0..k`.
 ///
 /// The trace must be complete (no ring-buffer overwrites — check the
 /// recorder's dropped counter first): the partition check anchors at
@@ -842,95 +845,37 @@ pub fn check_engine_events(events: &[ObsEvent]) -> Vec<Violation> {
         }
     }
 
-    // Weighted-partition invariants. `partition_plan` instants carry one
-    // bin each (shard index in its dedicated id field, estimated weight in
-    // `n`); `reduce_shard` spans carry the shard index plus the records it
-    // reduced. Per job: shard ids must be unique in both streams (the old
+    // Reduce shards. `reduce_shard` spans carry the shard index in its own
+    // id field. Per job a shard id may appear at most once (the old
     // encoding that packed shards into shared fields made concurrent jobs
-    // ambiguous), and for a completed job with a plan the plan's weights
-    // must sum to the records its shards actually reduced — i.e. every
-    // record the plan routed landed in exactly one shard, none dropped,
-    // none duplicated.
-    #[derive(Default)]
-    struct PartView {
-        plan_bins: BTreeSet<u64>,
-        plan_weight: u64,
-        shard_bins: BTreeSet<u64>,
-        shard_records: u64,
-    }
-    let mut partitions: BTreeMap<u64, PartView> = BTreeMap::new();
+    // ambiguous), and a completed job's shard ids must be exactly `0..k`:
+    // every shard the split built ran and reported. Quarantined jobs are
+    // skipped (a panicking shard may never report), and so are jobs whose
+    // `submit` fell off a truncated ring.
+    let mut shards: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for e in events {
-        match e.name {
-            "partition_plan" => {
-                if e.ids.job == NO_ID || e.ids.shard == NO_ID || e.ids.n == NO_ID {
-                    out.push(Violation {
-                        invariant: "engine-partition-plan",
-                        at: at(e.ts_us),
-                        detail: "partition_plan instant missing job/shard/weight ids".into(),
-                    });
-                    continue;
-                }
-                let v = partitions.entry(e.ids.job).or_default();
-                if !v.plan_bins.insert(e.ids.shard) {
-                    out.push(Violation {
-                        invariant: "engine-partition-plan",
-                        at: at(e.ts_us),
-                        detail: format!(
-                            "job {} plans bin {} twice",
-                            e.ids.job, e.ids.shard
-                        ),
-                    });
-                }
-                v.plan_weight += e.ids.n;
-            }
-            "reduce_shard" if e.ids.job != NO_ID && e.ids.shard != NO_ID => {
-                let v = partitions.entry(e.ids.job).or_default();
-                if !v.shard_bins.insert(e.ids.shard) {
-                    out.push(Violation {
-                        invariant: "engine-partition-plan",
-                        at: at(e.ts_us),
-                        detail: format!(
-                            "job {} ran reduce shard {} twice",
-                            e.ids.job, e.ids.shard
-                        ),
-                    });
-                }
-                if e.ids.n != NO_ID {
-                    v.shard_records += e.ids.n;
-                }
-            }
-            _ => {}
-        }
-    }
-    for (id, v) in &partitions {
-        if v.plan_bins.is_empty() {
-            continue; // hash-mode job: no plan to reconcile
-        }
-        // Only completed jobs reconcile exactly — a quarantined shard may
-        // have panicked before routing its records.
-        let completed = jobs.get(id).is_some_and(|j| j.done > 0);
-        if !completed {
-            continue;
-        }
-        if v.shard_bins != v.plan_bins {
+        if e.name == "reduce_shard"
+            && e.ids.job != NO_ID
+            && e.ids.shard != NO_ID
+            && !shards.entry(e.ids.job).or_default().insert(e.ids.shard)
+        {
             out.push(Violation {
-                invariant: "engine-partition-plan",
-                at: SimTime::ZERO,
-                detail: format!(
-                    "job {id}: planned bins {:?} but reduce shards ran {:?}",
-                    v.plan_bins, v.shard_bins
-                ),
+                invariant: "engine-reduce-shard",
+                at: at(e.ts_us),
+                detail: format!("job {} ran reduce shard {} twice", e.ids.job, e.ids.shard),
             });
         }
-        if v.shard_records != v.plan_weight {
+    }
+    for (id, ran) in &shards {
+        let complete = jobs
+            .get(id)
+            .is_some_and(|j| j.done > 0 && j.quarantined == 0 && j.submit.is_some());
+        let k = ran.len() as u64;
+        if complete && !ran.iter().copied().eq(0..k) {
             out.push(Violation {
-                invariant: "engine-partition-plan",
+                invariant: "engine-reduce-shard",
                 at: SimTime::ZERO,
-                detail: format!(
-                    "job {id}: plan weighs {} records but reduce shards reduced {}: \
-                     every routed record must land in exactly one shard",
-                    v.plan_weight, v.shard_records
-                ),
+                detail: format!("job {id}: reduce shards {ran:?} are not exactly 0..{k}"),
             });
         }
     }
@@ -1377,34 +1322,6 @@ mod tests {
             }
         }
 
-        /// A `partition_plan` instant: one planned bin with its estimated
-        /// weight.
-        fn plan(ts_us: u64, job: u64, bin: u64, weight: u64) -> Event {
-            ev(ts_us, "partition_plan", Ids::job(job).shard(bin).jobs(weight))
-        }
-
-        #[test]
-        fn weighted_plan_reconciles_with_reduce_shards() {
-            // Two concurrent jobs, interleaved shards, both plans balance.
-            let events = vec![
-                ev(0, "submit", Ids::job(0)),
-                ev(1, "submit", Ids::job(1)),
-                ev(2, "admit", Ids::job(0).jobs(0)),
-                ev(2, "admit", Ids::job(1).jobs(0)),
-                plan(10, 0, 0, 7),
-                plan(10, 0, 1, 5),
-                plan(11, 1, 0, 3),
-                plan(11, 1, 1, 9),
-                shard(12, 0, 0, 7),
-                shard(13, 1, 0, 3),
-                shard(14, 1, 1, 9),
-                shard(15, 0, 1, 5),
-                ev(20, "job_done", Ids::job(0)),
-                ev(21, "job_done", Ids::job(1)),
-            ];
-            assert_eq!(check_engine_events(&events), vec![]);
-        }
-
         #[test]
         fn duplicate_shard_id_is_flagged() {
             let events = vec![
@@ -1416,60 +1333,56 @@ mod tests {
             ];
             let v = check_engine_events(&events);
             assert!(
-                v.iter().any(|v| v.invariant == "engine-partition-plan"
+                v.iter().any(|v| v.invariant == "engine-reduce-shard"
                     && v.detail.contains("shard 0 twice")),
                 "{v:?}"
             );
         }
 
         #[test]
-        fn plan_weight_mismatch_is_flagged() {
-            // The plan claims 12 records but the shards only reduced 10:
-            // somewhere a routed record vanished.
+        fn concurrent_jobs_with_dense_shards_pass() {
+            // Two concurrent jobs, interleaved shards, each exactly 0..2.
+            let events = vec![
+                ev(0, "submit", Ids::job(0)),
+                ev(1, "submit", Ids::job(1)),
+                ev(2, "admit", Ids::job(0).jobs(0)),
+                ev(2, "admit", Ids::job(1).jobs(0)),
+                shard(12, 0, 1, 7),
+                shard(13, 1, 0, 3),
+                shard(14, 1, 1, 9),
+                shard(15, 0, 0, 5),
+                ev(20, "job_done", Ids::job(0)),
+                ev(21, "job_done", Ids::job(1)),
+            ];
+            assert_eq!(check_engine_events(&events), vec![]);
+        }
+
+        #[test]
+        fn shard_gap_is_flagged() {
+            // Shard 1 never reported: a bucket the split built was lost.
             let events = vec![
                 ev(0, "submit", Ids::job(0)),
                 ev(1, "admit", Ids::job(0).jobs(0)),
-                plan(2, 0, 0, 6),
-                plan(2, 0, 1, 6),
-                shard(3, 0, 0, 6),
-                shard(4, 0, 1, 4),
+                shard(2, 0, 0, 4),
+                shard(3, 0, 2, 4),
                 ev(9, "job_done", Ids::job(0)),
             ];
             let v = check_engine_events(&events);
             assert!(
-                v.iter().any(|v| v.invariant == "engine-partition-plan"
-                    && v.detail.contains("plan weighs 12")),
+                v.iter().any(|v| v.invariant == "engine-reduce-shard"
+                    && v.detail.contains("not exactly 0..2")),
                 "{v:?}"
             );
         }
 
         #[test]
-        fn planned_bin_without_a_shard_is_flagged() {
+        fn quarantined_job_skips_shard_coverage() {
+            // A quarantined job may lose shards to a panic; the quarantine
+            // already accounts for it, so the gap must not be flagged.
             let events = vec![
                 ev(0, "submit", Ids::job(0)),
                 ev(1, "admit", Ids::job(0).jobs(0)),
-                plan(2, 0, 0, 5),
-                plan(2, 0, 1, 5),
-                shard(3, 0, 0, 10),
-                ev(9, "job_done", Ids::job(0)),
-            ];
-            let v = check_engine_events(&events);
-            assert!(
-                v.iter().any(|v| v.invariant == "engine-partition-plan"
-                    && v.detail.contains("planned bins")),
-                "{v:?}"
-            );
-        }
-
-        #[test]
-        fn quarantined_job_skips_plan_reconciliation() {
-            // A reduce shard panicked before routing: counts won't add up,
-            // and must not be flagged — the quarantine already covers it.
-            let events = vec![
-                ev(0, "submit", Ids::job(0)),
-                ev(1, "admit", Ids::job(0).jobs(0)),
-                plan(2, 0, 0, 12),
-                shard(3, 0, 0, 0),
+                shard(3, 0, 1, 0),
                 ev(9, "quarantine", Ids::job(0)),
             ];
             assert_eq!(check_engine_events(&events), vec![]);

@@ -34,7 +34,6 @@ fn solo(prefix: &str, s: &BlockStore) -> BTreeMap<String, i64> {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 4,
-        ..ExecConfig::default()
         },
     )
     .records

@@ -46,7 +46,6 @@ fn ten_wordcount_jobs_share_one_scan_losslessly() {
     let cfg = ExecConfig {
         num_threads: 4,
         num_reducers: 7,
-    ..ExecConfig::default()
     };
     let refs: Vec<&PatternWordCount> = jobs.iter().collect();
     let merged = run_merged(&refs, &store, &cfg);
@@ -97,7 +96,6 @@ fn equivalence_is_configuration_independent() {
         &ExecConfig {
             num_threads: 1,
             num_reducers: 1,
-        ..ExecConfig::default()
         },
     );
     for threads in [2, 8] {
@@ -105,7 +103,6 @@ fn equivalence_is_configuration_independent() {
             let cfg = ExecConfig {
                 num_threads: threads,
                 num_reducers: reducers,
-            ..ExecConfig::default()
             };
             let solo = run_job(&job, &store, &cfg);
             assert_eq!(solo.records, reference.records, "solo {threads}x{reducers}");
